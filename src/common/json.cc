@@ -162,6 +162,11 @@ std::string Json::Dump(int indent) const {
 
 namespace {
 
+// Deepest array/object nesting Parse accepts. The parser recurses once per
+// level, so without a bound a few hundred KB of '[' overflow the stack;
+// deeper input fails with a positioned parse error instead.
+constexpr int kMaxNestingDepth = 512;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -208,8 +213,17 @@ class Parser {
   Expected<Json> ParseValue() {
     if (AtEnd()) return Error("unexpected end of input");
     switch (Peek()) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          return Error("nesting deeper than " +
+                       std::to_string(kMaxNestingDepth) + " levels");
+        }
+        ++depth_;
+        Expected<Json> nested = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         Expected<std::string> s = ParseString();
         if (!s.ok()) return s.status();
@@ -361,6 +375,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

@@ -108,6 +108,8 @@ class Json {
 
   [[nodiscard]] std::string Dump(int indent = -1) const;
 
+  // Parses one JSON document. Malformed input, and arrays/objects nested
+  // more than 512 deep, fail with "json parse error at offset N: ...".
   static Expected<Json> Parse(std::string_view text);
 
   friend bool operator==(const Json& a, const Json& b);

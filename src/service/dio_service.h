@@ -9,7 +9,7 @@
 // shared backend: start/stop, metadata (who/when/how many events), and the
 // post-session analysis entry points (correlation, detectors). Each session
 // ships events through its own transport pipeline (transport/pipeline.h):
-// bounded queue -> optional retry -> bulk/spool sinks, assembled from
+// bounded queue -> optional retry -> bulk/trace sinks, assembled from
 // [transport] config. Session info carries the per-stage drop/retry/
 // dead-letter accounting so loss is attributable per stage.
 #pragma once

@@ -1,6 +1,5 @@
 #include "sim/simulation.h"
 
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,16 +14,16 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "oskernel/kernel.h"
-#include "service/replay.h"
 #include "sim/scheduler.h"
 #include "sim/invariants.h"
+#include "trace/load.h"
 #include "trace/reader.h"
 #include "trace/replay.h"
+#include "trace/writer.h"
 #include "tracer/tracer.h"
 #include "transport/fan_out_sink.h"
 #include "transport/queue_transport.h"
 #include "transport/retrying_transport.h"
-#include "transport/sinks.h"
 
 namespace dio::sim {
 
@@ -152,7 +151,7 @@ struct RunData {
   std::vector<std::string> spool_docs;  // canonical dumps, file order
   std::set<std::string> spool_unique;
   bool restored = false;  // restore attempted (spool had documents)
-  service::SpoolLoadStats restore;
+  trace::TraceLoadStats restore;
   backend::IndexStats live_stats;
   bool have_live_stats = false;
   backend::IndexStats restored_stats;
@@ -373,7 +372,7 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
   data.art.session = session;
   data.art.spool_path = options.spool_dir + "/seed-" +
                         std::to_string(options.seed) + "-" + label +
-                        ".ndjson";
+                        ".trace";
 
   ManualClock workload_clock(kTimeBase);
   ManualClock sim_clock(0);
@@ -440,8 +439,7 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
       plan.Has(kFaultDuplicateAck) ? plan.dup_ack_every : 0);
   AckLossSink* ack_loss_ptr = ack_loss.get();
 
-  auto spool_sink = transport::FileSpoolSink::Open(
-      transport::FileSpoolOptions{data.art.spool_path});
+  auto spool_sink = trace::TraceRecordSink::Open(data.art.spool_path);
   if (!spool_sink.ok()) return spool_sink.status();
 
   std::vector<std::unique_ptr<transport::Transport>> children;
@@ -735,19 +733,13 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
     }
   }
 
-  // Harvest the spool in canonical (parse -> dump) form.
+  // Harvest the spool as the documents its records index to.
   {
-    std::ifstream in(data.art.spool_path);
-    if (!in) return NotFound("sim spool missing: " + data.art.spool_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      auto doc = Json::Parse(line);
-      if (!doc.ok()) {
-        return InvalidArgument("sim spool line unparseable: " +
-                               doc.status().message());
-      }
-      data.spool_docs.push_back(doc->Dump());
+    auto records = trace::ReadTraceFile(data.art.spool_path);
+    if (!records.ok()) return records.status();
+    for (const tracer::WireEvent& record : *records) {
+      data.spool_docs.push_back(
+          tracer::WireEventToJson(record, session).Dump());
       data.spool_unique.insert(data.spool_docs.back());
     }
   }
@@ -766,12 +758,8 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
   // Restart: replay the spool (deduped, so re-driven batches do not
   // double-index) into the restored index, then correlate there.
   const std::string restored_index = session + "-restored";
-  auto restore = service::LoadSpool(&store, data.art.spool_path,
-                                    restored_index,
-                                    service::SpoolLoadOptions{
-                                        .dedupe = true,
-                                        .allow_truncated_tail = false,
-                                    });
+  auto restore =
+      trace::LoadTrace(&store, data.art.spool_path, restored_index, session);
   if (!restore.ok()) return restore.status();
   data.restore = *restore;
   if (data.restore.loaded > 0) {
@@ -886,7 +874,7 @@ Expected<SimResult> RunSimulation(const SimOptions& options) {
   // The terminal stage under ackloss: the bulk client, or the cluster sink.
   const auto* terminal = FindStage(run_a->art.stages,
                                    cluster_mode ? "cluster" : "bulk");
-  const auto* spool = FindStage(run_a->art.stages, "spool");
+  const auto* spool = FindStage(run_a->art.stages, "trace");
 
   result.saw_ring_drop = tstats.ring_dropped > 0;
   result.saw_queue_drop = queue != nullptr && queue->dropped_events > 0;
@@ -994,7 +982,7 @@ Expected<SimResult> RunSimulation(const SimOptions& options) {
     check.CheckEq(spool->events_in, fanout->events_in,
                   "spool.events_in == fanout.events_in");
     check.CheckEq(result.spool_lines, spool->events_out,
-                  "spool file lines == spool.events_out");
+                  "spool file records == spool.events_out");
     // End-to-end: every emitted event is spooled, queue-dropped, or
     // dead-lettered; re-driven deliveries (ack lost, or refused by the
     // cluster's ack gate) are the only source of spool surplus.

@@ -1,6 +1,6 @@
 // The whole-pipeline deterministic simulation: one seed fully determines a
 // run of workload -> kernel tracepoints -> DioTracer -> QueueTransport ->
-// RetryingTransport -> FanOut{BulkClient, FileSpoolSink} -> ElasticStore ->
+// RetryingTransport -> FanOut{BulkClient, TraceRecordSink} -> ElasticStore ->
 // FilePathCorrelator, executed thread-free under a SimScheduler and two
 // virtual clocks:
 //
@@ -54,7 +54,7 @@ struct SimOptions {
   std::string trace_path;
   // Fault plan override; empty = FaultPlan::FromSeed(seed).
   std::string fault_spec;
-  // Directory for the runs' NDJSON spool files (created by the caller).
+  // Directory for the runs' spool files, trace v1 (created by the caller).
   std::string spool_dir;
   // Keep the full schedule trace of each run (memory-heavy; repro dumps).
   bool keep_trace = false;

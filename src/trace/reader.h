@@ -1,5 +1,6 @@
 // Trace reader: streaming decoder for the binary trace format
-// (trace/format.h), with tail semantics mirroring service::LoadSpool:
+// (trace/format.h). A trace file is also the transport's spool (the "trace"
+// sink), so the tail semantics are the crash-recovery rule:
 //
 //  * A TORN final record — EOF hit inside a frame, the leftover of a crash
 //    mid-flush — is skipped and counted in tolerant mode
@@ -27,7 +28,7 @@ namespace dio::trace {
 struct TraceReadOptions {
   // Tolerate a torn FINAL record (or torn header): reading stops there and
   // the truncation is reported in TraceReadStats. Corruption anywhere else
-  // still fails the read. Mirrors SpoolLoadOptions::allow_truncated_tail.
+  // still fails the read.
   bool allow_truncated_tail = false;
 };
 

@@ -169,10 +169,11 @@ struct IssueStats {
   std::uint64_t ret_mismatches = 0;
 };
 
-// Re-issues wire records as syscalls. Replay-side fds are tracked per
-// (pid, recorded fd) — an open's recorded return value keys later reads,
-// writes and closes, exactly like service::TraceReplayer does for store
-// documents. Single-threaded; use one issuer per clone.
+// Re-issues wire records as syscalls — the repo's one syscall re-issuer
+// (the sim, the dio-replay CLI, and the replay tests all use it).
+// Replay-side fds are tracked per (pid, recorded fd): an open's recorded
+// return value keys later reads, writes and closes. Single-threaded; use
+// one issuer per clone.
 class SyscallIssuer {
  public:
   // Rewrites recorded paths into the replay namespace (e.g. prefixing a

@@ -133,6 +133,11 @@ Status TraceWriter::Flush() {
   return Status::Ok();
 }
 
+bool TraceWriter::failed() const {
+  std::scoped_lock lock(mu_);
+  return failed_;
+}
+
 TraceWriterStats TraceWriter::stats() const {
   std::scoped_lock lock(mu_);
   return stats_;
@@ -159,24 +164,36 @@ TraceRecordSink::TraceRecordSink(std::unique_ptr<TraceWriter> writer)
 
 Status TraceRecordSink::Submit(transport::EventBatch batch) {
   std::scoped_lock lock(mu_);
+  // A failed writer rejects the batch before it enters the ledger (like
+  // CollectorSink's scripted failures): the caller owns that accounting.
+  if (writer_->failed()) {
+    return Internal("trace writer failed: " + writer_->path());
+  }
   stats_.batches_in += 1;
   stats_.events_in += batch.size();
   std::uint64_t recorded = 0;
+  Status status;
   for (const tracer::Event& event : batch.events) {
-    if (Status s = writer_->Append(event); !s.ok()) return s;
+    if (status = writer_->Append(event); !status.ok()) break;
     ++recorded;
   }
   for (const tracer::WireEvent& record : batch.wire) {
-    if (Status s = writer_->Append(record); !s.ok()) return s;
+    if (!status.ok()) break;
+    if (status = writer_->Append(record); !status.ok()) break;
     ++recorded;
   }
-  // JSON-only documents cannot be mapped back to the wire layout; counted
-  // as dropped so the stage ledger still balances.
-  stats_.dropped_events += batch.documents.size();
-  if (!batch.documents.empty()) stats_.dropped_batches += recorded == 0;
-  stats_.batches_out += recorded > 0 || batch.documents.empty();
+  // What was not recorded — JSON-only documents, which cannot be mapped
+  // back to the wire layout, and the rest of a batch whose write failed —
+  // is counted as dropped, so the stage ledger still balances.
+  const std::uint64_t unrecorded = batch.size() - recorded;
   stats_.events_out += recorded;
-  return Status::Ok();
+  stats_.dropped_events += unrecorded;
+  if (recorded > 0 || unrecorded == 0) {
+    stats_.batches_out += 1;
+  } else {
+    stats_.dropped_batches += 1;
+  }
+  return status;
 }
 
 void TraceRecordSink::Flush() { (void)writer_->Flush(); }

@@ -6,7 +6,9 @@
 //   * TraceRecordSink    — a transport::Transport terminal, so any session's
 //                          shipping chain can record by listing "trace" in
 //                          transport.sinks (DioService resolves it, like
-//                          "bulk"); the binary tap of the NDJSON spool.
+//                          "bulk"). It is the pipeline's only file sink: the
+//                          on-disk spool that trace::LoadTrace (trace/load.h)
+//                          restores into a store.
 //   * RecordingEventSink — a tracer::EventSink tee: records the stream and
 //                          forwards it untouched to a downstream sink, for
 //                          capturing a live run while it still indexes.
@@ -52,6 +54,8 @@ class TraceWriter {
   // exactly what the reader's tolerant mode (trace/reader.h) skips.
   Status Flush();
 
+  // True once a write or flush has failed; every later Append fails too.
+  [[nodiscard]] bool failed() const;
   [[nodiscard]] TraceWriterStats stats() const;
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -79,6 +83,9 @@ class TraceWriter {
 // cannot be mapped back onto the fixed wire layout losslessly, so they are
 // counted as dropped (the stage ledger in == out + dropped still balances) —
 // recording is a wire-level tap, and every production route ships binary.
+// A failed write drops the rest of its batch (counted) and fails the
+// Submit; once the writer has failed, later batches are rejected before
+// they enter the ledger.
 class TraceRecordSink final : public transport::Transport {
  public:
   static Expected<std::unique_ptr<TraceRecordSink>> Open(

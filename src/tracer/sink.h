@@ -2,7 +2,7 @@
 // this is the head of a transport::Pipeline (transport/pipeline.h): a
 // bounded queue with an explicit backpressure policy, optionally retry and
 // fan-out stages, and one or more terminal sinks (backend bulk client,
-// NDJSON spool). Tests use in-memory sinks.
+// trace file). Tests use in-memory sinks.
 //
 // Contract the transport layer relies on:
 //  * IndexBatch/IndexEvents are called concurrently by N consumer threads.

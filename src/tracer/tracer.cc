@@ -696,7 +696,7 @@ void DioTracer::HandleRecord(ConsumerState* state,
     // Aggregate-mode survivor: copy the record off the ring verbatim and
     // ship it binary (typed ingest). No Event, no std::string, no Json on
     // this thread — materialization happens only if a JSON-consuming sink
-    // (spool, oracle store route) asks for it downstream.
+    // (the oracle store route) asks for it downstream.
     state->wire.push_back(view.raw());
   }
   if (state->batch.size() + state->wire.size() >= options_.batch_size) {

@@ -16,11 +16,9 @@ Status FanOutSink::Submit(EventBatch batch) {
     stats_.batches_in += 1;
     stats_.events_in += batch_events;
   }
-  // Materialize once so N children do not each re-convert the same events —
-  // except typed (wire) batches, which stay binary so a typed-ingest-capable
-  // child (the bulk client) never sees JSON; a JSON-consuming child (spool)
-  // materializes its own copy instead.
-  if (batch.wire.empty()) batch.Materialize();
+  // Batches fan out in the form they arrived: each child converts what it
+  // needs (the bulk client materializes deferred events; the trace sink
+  // records events and wire records as binary).
   Status first_error = Status::Ok();
   for (std::size_t i = 0; i < children_.size(); ++i) {
     // Move into the last child, copy into the others.

@@ -1,9 +1,9 @@
 // FanOutSink: tees one event stream to N downstream sinks (e.g. the
-// backend bulk client plus a replayable NDJSON spool). Each child gets its
+// backend bulk client plus a replayable trace file). Each child gets its
 // own copy of every batch; one child failing does not starve the others,
 // and the first error is reported upstream so a retry stage above the fan
 // re-drives delivery (children must tolerate duplicate batches in that
-// configuration — the bulk store and the spool both do, append-only).
+// configuration — the bulk store and the trace file both do, append-only).
 #pragma once
 
 #include <memory>

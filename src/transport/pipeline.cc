@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "transport/fan_out_sink.h"
-#include "transport/sinks.h"
 
 namespace dio::transport {
 
@@ -13,7 +12,7 @@ Expected<PipelineOptions> PipelineOptions::FromConfig(const Config& config) {
       {"queue_depth", "backpressure", "retry", "retry_max_attempts",
        "retry_initial_backoff_ns", "retry_backoff_multiplier",
        "retry_max_backoff_ns", "retry_jitter", "retry_deadline_ns",
-       "fault_rate", "fault_seed", "sinks", "spool_path", "trace_path",
+       "fault_rate", "fault_seed", "sinks", "trace_path",
        "network_latency_ns", "refresh_every_batches", "auto_correlate"});
 
   PipelineOptions options;
@@ -53,8 +52,6 @@ Expected<PipelineOptions> PipelineOptions::FromConfig(const Config& config) {
       return InvalidArgument("transport.sinks must name at least one sink");
     }
   }
-  options.spool_path =
-      config.GetString("transport.spool_path", options.spool_path);
   options.trace_path =
       config.GetString("transport.trace_path", options.trace_path);
   if (options.retry.fault_rate < 0.0 || options.retry.fault_rate > 1.0) {
@@ -69,14 +66,6 @@ Expected<std::unique_ptr<Pipeline>> Pipeline::Build(
   std::vector<std::unique_ptr<Transport>> sinks;
   sinks.reserve(options.sinks.size());
   for (const std::string& name : options.sinks) {
-    if (name == "spool") {
-      FileSpoolOptions spool;
-      spool.path = options.spool_path;
-      auto sink = FileSpoolSink::Open(std::move(spool));
-      if (!sink.ok()) return sink.status();
-      sinks.push_back(std::move(sink.value()));
-      continue;
-    }
     if (!make_sink) {
       return InvalidArgument("no sink factory for transport sink: " + name);
     }

@@ -18,9 +18,8 @@
 //   retry_deadline_ns         overall per-batch timeout (0 = unlimited)
 //   fault_rate                injected delivery-failure probability [0,1]
 //   fault_seed                PRNG seed for fault injection / jitter
-//   sinks                     comma list of terminal sinks (bulk, spool, ...)
-//   spool_path                NDJSON file for the spool sink
-//   trace_path                binary trace file for the "trace" record sink
+//   sinks                     comma list of terminal sinks (bulk, trace, ...)
+//   trace_path                trace v1 file for the "trace" sink
 //   network_latency_ns        (bulk sink) simulated one-way hop latency
 //   refresh_every_batches     (bulk sink) near-real-time refresh cadence
 //   auto_correlate            (bulk sink) run correlation on flush
@@ -47,13 +46,12 @@ struct PipelineOptions {
   QueueTransportOptions queue;
   bool retry_enabled = false;
   RetryOptions retry;
-  // Terminal sinks by name; >1 means fan-out. "spool" is built in; other
-  // names resolve through the SinkFactory the caller passes to Build (the
-  // service maps "bulk" to a backend BulkClient).
+  // Terminal sinks by name; >1 means fan-out. Names resolve through the
+  // SinkFactory the caller passes to Build (the service maps "bulk" to a
+  // backend BulkClient and "trace" to a trace::TraceRecordSink).
   std::vector<std::string> sinks = {"bulk"};
-  std::string spool_path;
-  // Output file for the "trace" sink (trace::TraceRecordSink, resolved by
-  // the service's SinkFactory): the binary record/replay tap.
+  // Output file for the "trace" sink: the on-disk event stream (trace v1),
+  // replayable and loadable into a store with trace::LoadTrace.
   std::string trace_path;
 
   // Parses [transport] keys and warns (via logging) on unrecognized ones.
@@ -71,7 +69,8 @@ class Pipeline final : public tracer::EventSink {
 
   // `session` labels batches entering via IndexBatch (documents carry their
   // session inline; binary events are tagged by the tracer's IndexEvents
-  // call). `make_sink` may be null if every configured sink is built in.
+  // call). Every sink name resolves through `make_sink`; a name it does not
+  // know fails the build.
   static Expected<std::unique_ptr<Pipeline>> Build(
       std::string session, const PipelineOptions& options,
       const SinkFactory& make_sink = nullptr,
@@ -82,8 +81,8 @@ class Pipeline final : public tracer::EventSink {
   void IndexEvents(std::string_view session,
                    std::vector<tracer::Event> events) override;
   // Typed-ingest fast path: the batch enters the chain as tagged binary wire
-  // records and stays binary until a stage needs JSON (spool sink) or the
-  // store's typed route ingests it directly (bulk sink).
+  // records and stays binary through to the sinks: the store's typed route
+  // ingests it directly (bulk sink) and the trace sink records it as is.
   void IndexWire(std::string_view session,
                  std::vector<tracer::WireEvent> records) override;
   // Drains the chain deterministically: queue first, then retry, then

@@ -5,57 +5,6 @@
 
 namespace dio::transport {
 
-FileSpoolSink::FileSpoolSink(FileSpoolOptions options)
-    : options_(std::move(options)) {
-  stats_.stage = "spool";
-}
-
-Expected<std::unique_ptr<FileSpoolSink>> FileSpoolSink::Open(
-    FileSpoolOptions options) {
-  if (options.path.empty()) {
-    return InvalidArgument("spool sink requires a non-empty path");
-  }
-  auto sink = std::unique_ptr<FileSpoolSink>(new FileSpoolSink(options));
-  sink->out_.open(options.path, std::ios::trunc);
-  if (!sink->out_) {
-    return NotFound("cannot open spool file for writing: " + options.path);
-  }
-  return sink;
-}
-
-Status FileSpoolSink::Submit(EventBatch batch) {
-  const std::size_t batch_events = batch.size();
-  batch.Materialize();
-  std::scoped_lock lock(mu_);
-  stats_.batches_in += 1;
-  stats_.events_in += batch_events;
-  for (const Json& doc : batch.documents) {
-    out_ << doc.Dump() << '\n';
-    ++lines_written_;
-  }
-  if (!out_) {
-    return Internal("spool write failed: " + options_.path);
-  }
-  stats_.batches_out += 1;
-  stats_.events_out += batch_events;
-  return Status::Ok();
-}
-
-void FileSpoolSink::Flush() {
-  std::scoped_lock lock(mu_);
-  out_.flush();
-}
-
-std::uint64_t FileSpoolSink::lines_written() const {
-  std::scoped_lock lock(mu_);
-  return lines_written_;
-}
-
-void FileSpoolSink::CollectStats(std::vector<StageStats>* out) const {
-  std::scoped_lock lock(mu_);
-  out->push_back(stats_);
-}
-
 Status CollectorSink::Submit(EventBatch batch) {
   const std::size_t batch_events = batch.size();
   if (options_.deliver_latency_ns > 0) {

@@ -1,22 +1,15 @@
-// Terminal sinks that live in the transport layer itself:
-//
-//  * FileSpoolSink — writes every event document as one NDJSON line to a
-//    local spool file. The spool is replayable: each line is exactly the
-//    document the backend would index (Event::ToJson), so
-//    service/replay can re-issue the traced syscalls from a spool without a
-//    backend, and a spool can be bulk-loaded into an ElasticStore index
-//    later (service::LoadSpool) — the offline/air-gapped shipping mode.
+// Terminal sink that lives in the transport layer itself:
 //
 //  * CollectorSink — in-memory terminal sink for tests and benches, with a
 //    configurable per-delivery latency (to exercise backpressure) and a
 //    scriptable failure budget (to exercise retry/dead-letter paths).
 //
-// The backend's BulkClient is the third terminal sink; it stays in
-// backend/ because it owns an ElasticStore dependency.
+// The other terminal sinks live with what they depend on: the backend's
+// BulkClient (backend/), the cluster's ClusterBulkSink (cluster/), and the
+// trace file sink TraceRecordSink (trace/writer.h).
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -25,32 +18,6 @@
 #include "transport/transport.h"
 
 namespace dio::transport {
-
-struct FileSpoolOptions {
-  std::string path;  // spool file, created/truncated on Open
-};
-
-class FileSpoolSink final : public Transport {
- public:
-  static Expected<std::unique_ptr<FileSpoolSink>> Open(FileSpoolOptions options);
-
-  Status Submit(EventBatch batch) override;
-  void Flush() override;
-  void CollectStats(std::vector<StageStats>* out) const override;
-  [[nodiscard]] std::string_view name() const override { return "spool"; }
-
-  [[nodiscard]] const std::string& path() const { return options_.path; }
-  [[nodiscard]] std::uint64_t lines_written() const;
-
- private:
-  explicit FileSpoolSink(FileSpoolOptions options);
-
-  FileSpoolOptions options_;
-  mutable std::mutex mu_;
-  std::ofstream out_;
-  StageStats stats_;
-  std::uint64_t lines_written_ = 0;
-};
 
 struct CollectorOptions {
   // Simulated delivery latency per batch (stands in for the network +

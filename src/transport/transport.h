@@ -1,5 +1,5 @@
 // The transport layer: everything between the tracer's consumer threads and
-// the terminal sinks (backend bulk client, NDJSON spool, ...).
+// the terminal sinks (backend bulk client, trace file, ...).
 //
 // The paper ships events asynchronously in batches to a remote backend and
 // accepts event discard under load as the cost of a lossy channel (§II-C,
@@ -13,7 +13,7 @@
 //   RetryingTransport  timeout / exponential backoff / dead-letter / faults
 //   FanOutSink         tees one stream to N downstream sinks
 //   BulkClient         terminal: synchronous bulk-index into ElasticStore
-//   FileSpoolSink      terminal: replayable NDJSON spool file
+//   TraceRecordSink    terminal: trace v1 file (trace/writer.h), the spool
 //   CollectorSink      terminal: in-memory (tests, benches)
 #pragma once
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dio {
 namespace {
 
@@ -141,6 +143,57 @@ TEST(JsonTest, LargeIntRoundTrip) {
   auto parsed = Json::Parse(Json(big).Dump());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->as_int(), big);
+}
+
+// Parse's nesting limit (common/json.cc); not configurable.
+constexpr std::size_t kNestingLimit = 512;
+
+std::string NestedArrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+std::string NestedObjects(std::size_t depth) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += "{\"k\":";
+  text += "0";
+  text += std::string(depth, '}');
+  return text;
+}
+
+TEST(JsonTest, HostileNestingFailsWithPositionedError) {
+  // 100k levels overflowed the recursive parser's stack before the limit.
+  for (const std::string& text :
+       {NestedArrays(100'000), NestedObjects(100'000),
+        std::string(100'000, '[')}) {
+    auto parsed = Json::Parse(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("json parse error at offset"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  // The error points at the first bracket past the limit.
+  auto parsed = Json::Parse(NestedArrays(kNestingLimit + 1));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find(
+                "offset " + std::to_string(kNestingLimit) + ":"),
+            std::string::npos)
+      << parsed.status().message();
+  EXPECT_FALSE(Json::Parse(NestedObjects(kNestingLimit + 1)).ok());
+}
+
+TEST(JsonTest, NestingAtTheLimitParses) {
+  auto arrays = Json::Parse(NestedArrays(kNestingLimit));
+  ASSERT_TRUE(arrays.ok()) << arrays.status().message();
+  EXPECT_EQ(arrays->Dump(), NestedArrays(kNestingLimit));
+
+  auto objects = Json::Parse(NestedObjects(kNestingLimit));
+  ASSERT_TRUE(objects.ok()) << objects.status().message();
+  const Json* inner = &objects.value();
+  for (std::size_t i = 0; i < kNestingLimit; ++i) {
+    ASSERT_TRUE(inner->is_object());
+    inner = &inner->as_object().front().second;
+  }
+  EXPECT_EQ(inner->as_int(), 0);
 }
 
 }  // namespace

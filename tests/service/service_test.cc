@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <limits>
 
-#include "service/replay.h"
 #include "test_util.h"
+#include "trace/load.h"
 
 namespace dio::service {
 namespace {
@@ -190,13 +190,13 @@ network_latency_ns = 0
 }
 
 TEST_F(ServiceTest, ConfigFanOutSpoolsReplayableCopy) {
-  const std::string spool = ::testing::TempDir() + "service_spool.ndjson";
+  const std::string spool = ::testing::TempDir() + "service_spool.trace";
   DioService service(&env_.kernel, &store_);
   auto config = Config::ParseString(
       "[tracer]\nsession = teed\nflush_interval_ns = 1000000\n"
       "poll_interval_ns = 100000\n"
-      "[transport]\nnetwork_latency_ns = 0\nsinks = bulk, spool\n"
-      "spool_path = " + spool + "\n");
+      "[transport]\nnetwork_latency_ns = 0\nsinks = bulk, trace\n"
+      "trace_path = " + spool + "\n");
   ASSERT_TRUE(config.ok());
   ASSERT_TRUE(service.StartSessionFromConfig(*config).ok());
   DoIo();
@@ -204,19 +204,21 @@ TEST_F(ServiceTest, ConfigFanOutSpoolsReplayableCopy) {
 
   // The store got the events...
   EXPECT_EQ(*store_.Count("teed", backend::Query::MatchAll()), 8u);
-  // ...and the spool holds the same documents, loadable into a new index.
-  auto loaded = LoadSpool(&store_, spool, "teed-reloaded");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, 8u);
+  // ...and the trace spool holds the same documents, loadable into a new
+  // index.
+  auto loaded = trace::LoadTrace(&store_, spool, "teed-reloaded", "teed");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded->loaded, 8u);
+  EXPECT_EQ(loaded->duplicates, 0u);
   EXPECT_EQ(NormalizedDocs(store_, "teed-reloaded"),
             NormalizedDocs(store_, "teed"));
   // Per-stage accounting shows the fan-out chain.
   auto info = service.GetSession("teed");
   ASSERT_TRUE(info.ok());
   const JsonArray& stages = info->transport_stages.as_array();
-  ASSERT_EQ(stages.size(), 4u);  // queue, fanout, bulk, spool
+  ASSERT_EQ(stages.size(), 4u);  // queue, fanout, bulk, trace
   EXPECT_EQ(stages[1].GetString("stage"), "fanout");
-  EXPECT_EQ(stages[3].GetString("stage"), "spool");
+  EXPECT_EQ(stages[3].GetString("stage"), "trace");
   EXPECT_EQ(stages[3].GetInt("events_out"), 8);
   std::remove(spool.c_str());
 }

@@ -1,8 +1,8 @@
 // Trace format satellite: round-trip property (record -> read -> re-record
 // is byte-identical, including against the committed golden corpus under
 // tests/trace/data/), corruption rejection with record-accurate offsets, and
-// the LoadSpool-mirroring tail semantics (tolerant skips a torn final record
-// with a counter; strict fails; true corruption fails in both modes).
+// the spool's tail semantics (tolerant skips a torn final record with a
+// counter; strict fails; true corruption fails in both modes).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

@@ -1,7 +1,7 @@
 // Transport pipeline unit tests. Deliberately backend-free (CollectorSink /
-// FileSpoolSink / test-local sinks only) so this file also runs under the
-// ThreadSanitizer stress target, which recompiles the transport sources with
-// -fsanitize=thread.
+// the trace file sink / test-local sinks only) so this file also runs under
+// the ThreadSanitizer stress target, which recompiles the transport sources
+// with -fsanitize=thread.
 #include "transport/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -18,6 +17,8 @@
 #include "transport/fan_out_sink.h"
 #include "transport/queue_transport.h"
 #include "transport/retrying_transport.h"
+#include "trace/reader.h"
+#include "trace/writer.h"
 #include "transport/sinks.h"
 
 namespace dio::transport {
@@ -379,50 +380,17 @@ TEST(FanOutSinkTest, OneChildFailingDoesNotStarveTheOther) {
   EXPECT_EQ(stats[0].dead_letter_batches, 0u);  // retry above owns dead letters
 }
 
-TEST(FileSpoolSinkTest, WritesReplayableNdjson) {
-  const std::string path = ::testing::TempDir() + "spool_test.ndjson";
-  FileSpoolOptions options;
-  options.path = path;
-  auto sink = FileSpoolSink::Open(options);
-  ASSERT_TRUE(sink.ok());
-
-  EventBatch batch;
-  batch.session = "spooled";
-  batch.events.push_back(MakeEvent(os::SyscallNr::kWrite, 42));
-  batch.events.push_back(MakeEvent(os::SyscallNr::kRead, 7));
-  ASSERT_TRUE((*sink)->Submit(std::move(batch)).ok());
-  ASSERT_TRUE((*sink)->Submit(DocBatch({5})).ok());
-  (*sink)->Flush();
-  EXPECT_EQ((*sink)->lines_written(), 3u);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<Json> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    auto doc = Json::Parse(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    lines.push_back(std::move(doc).value());
-  }
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].GetString("syscall"), "write");
-  EXPECT_EQ(lines[0].GetString("session"), "spooled");
-  EXPECT_EQ(lines[0].GetInt("ret"), 42);
-  EXPECT_EQ(lines[1].GetString("syscall"), "read");
-  EXPECT_EQ(lines[2].GetInt("i"), 5);
-  std::remove(path.c_str());
-}
-
-TEST(FileSpoolSinkTest, RejectsEmptyOrUnwritablePath) {
-  EXPECT_FALSE(FileSpoolSink::Open({}).ok());
-  FileSpoolOptions bad;
-  bad.path = "/nonexistent-dir/zzz/spool.ndjson";
-  EXPECT_FALSE(FileSpoolSink::Open(bad).ok());
-}
-
+// Resolves "collector" to a CollectorSink (stored in `*out`) and "trace" to
+// a trace file sink at options.trace_path, the way the service's factory
+// does; any other name is unknown.
 Pipeline::SinkFactory CollectorFactory(CollectorSink** out) {
-  return [out](const std::string& name, const PipelineOptions&)
+  return [out](const std::string& name, const PipelineOptions& options)
              -> Expected<std::unique_ptr<Transport>> {
+    if (name == "trace") {
+      auto sink = trace::TraceRecordSink::Open(options.trace_path);
+      if (!sink.ok()) return sink.status();
+      return std::unique_ptr<Transport>(std::move(*sink));
+    }
     if (name != "collector") return InvalidArgument("unknown sink: " + name);
     auto sink = std::make_unique<CollectorSink>();
     *out = sink.get();
@@ -484,11 +452,11 @@ TEST(PipelineTest, RetryStageAppearsWhenEnabled) {
 }
 
 TEST(PipelineTest, FanOutToSpoolAndFactorySink) {
-  const std::string path = ::testing::TempDir() + "pipeline_spool.ndjson";
+  const std::string path = ::testing::TempDir() + "pipeline_spool.trace";
   CollectorSink* sink = nullptr;
   PipelineOptions options;
-  options.sinks = {"collector", "spool"};
-  options.spool_path = path;
+  options.sinks = {"collector", "trace"};
+  options.trace_path = path;
   auto pipeline =
       Pipeline::Build("session-c", options, CollectorFactory(&sink));
   ASSERT_TRUE(pipeline.ok());
@@ -497,18 +465,19 @@ TEST(PipelineTest, FanOutToSpoolAndFactorySink) {
   (*pipeline)->Flush();
 
   EXPECT_EQ(sink->document_count(), 2u);
-  std::ifstream in(path);
-  std::size_t lines = 0;
-  std::string line;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 2u);
+  auto records = trace::ReadTraceFile(path);
+  ASSERT_TRUE(records.ok()) << records.status().message();
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_EQ((*records)[0].nr, static_cast<std::uint8_t>(os::SyscallNr::kRead));
+  EXPECT_EQ((*records)[1].ret, 3);
 
   const auto stats = (*pipeline)->Stats();
-  ASSERT_EQ(stats.size(), 4u);  // queue, fanout, collector, spool
+  ASSERT_EQ(stats.size(), 4u);  // queue, fanout, collector, trace
   EXPECT_EQ(stats[0].stage, "queue");
   EXPECT_EQ(stats[1].stage, "fanout");
   EXPECT_EQ(stats[2].stage, "collector");
-  EXPECT_EQ(stats[3].stage, "spool");
+  EXPECT_EQ(stats[3].stage, "trace");
+  for (const StageStats& stage : stats) CheckStageBalance(stage);
   std::remove(path.c_str());
 }
 
@@ -519,9 +488,14 @@ TEST(PipelineTest, BuildFailsForUnknownSinkOrMissingFactory) {
   CollectorSink* sink = nullptr;
   options.sinks = {"wat"};
   EXPECT_FALSE(Pipeline::Build("s", options, CollectorFactory(&sink)).ok());
+  options.sinks = {"trace"};
+  options.trace_path = "";  // trace sink without a path
+  EXPECT_FALSE(Pipeline::Build("s", options, CollectorFactory(&sink)).ok());
+  // There is no built-in sink: "spool" is just an unknown name.
   options.sinks = {"spool"};
-  options.spool_path = "";  // spool without a path
+  options.trace_path = ::testing::TempDir() + "never_written.trace";
   EXPECT_FALSE(Pipeline::Build("s", options, nullptr).ok());
+  EXPECT_FALSE(Pipeline::Build("s", options, CollectorFactory(&sink)).ok());
 }
 
 // Config-driven acceptance: fault injection plus Block backpressure plus a
@@ -566,8 +540,8 @@ retry_jitter = 0.1
 retry_deadline_ns = 99999
 fault_rate = 0.25
 fault_seed = 1234
-sinks = bulk, spool
-spool_path = /tmp/dio-spool.ndjson
+sinks = bulk, trace
+trace_path = /tmp/dio-spool.trace
 )");
   ASSERT_TRUE(config.ok());
   auto options = PipelineOptions::FromConfig(*config);
@@ -585,8 +559,8 @@ spool_path = /tmp/dio-spool.ndjson
   EXPECT_EQ(options->retry.fault_seed, 1234u);
   ASSERT_EQ(options->sinks.size(), 2u);
   EXPECT_EQ(options->sinks[0], "bulk");
-  EXPECT_EQ(options->sinks[1], "spool");
-  EXPECT_EQ(options->spool_path, "/tmp/dio-spool.ndjson");
+  EXPECT_EQ(options->sinks[1], "trace");
+  EXPECT_EQ(options->trace_path, "/tmp/dio-spool.trace");
 }
 
 TEST(PipelineOptionsTest, FromConfigRejectsBadValues) {
