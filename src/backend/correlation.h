@@ -7,8 +7,16 @@
 // event's file tag into the actual file path:
 //
 //   1. search events whose syscall is open/openat/creat, with a valid tag
-//      and a path argument -> build tag-key -> path dictionary;
-//   2. update-by-query every tagged event, setting "file_path".
+//      and a path argument -> build tag-key -> path dictionary (the hits
+//      carry only those two fields: SearchRequest::source);
+//   2. update-by-query every tagged event, setting "file_path" (the
+//      FilePathUpdate callback below).
+//
+// Step 2 goes through the generic QueryBackend::UpdateByQuery, but
+// ElasticStore recognizes a FilePathUpdate callback and writes typed rows'
+// file_path straight into their columns, so rows ingested on the typed
+// route stay typed after correlation. Every other backend, every JSON row,
+// and the JSON-ingest parity oracle run the callback on the document.
 //
 // Events whose tag was never seen on an open (e.g. the open happened before
 // tracing started, or the open event was discarded at the ring buffer) stay
@@ -17,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "backend/query_backend.h"
@@ -38,6 +47,18 @@ struct CorrelationStats {
   }
 };
 
+// The correlator's step 2 as a named callable. Skips a document that
+// already has file_path; otherwise sets file_path when the document's
+// file_tag is in the table. The table is shared, not copied, because a
+// cluster router keeps the callback in its replication log.
+struct FilePathUpdate {
+  using Table = std::map<std::string, std::string>;
+
+  std::shared_ptr<const Table> tag_to_path;
+
+  bool operator()(Json& doc) const;
+};
+
 class FilePathCorrelator {
  public:
   explicit FilePathCorrelator(QueryBackend* store) : store_(store) {}
@@ -48,13 +69,14 @@ class FilePathCorrelator {
   Expected<CorrelationStats> Run(const std::string& index);
 
   // The tag dictionary discovered by the last Run (for inspection/tests).
-  [[nodiscard]] const std::map<std::string, std::string>& tag_to_path() const {
-    return tag_to_path_;
+  [[nodiscard]] const FilePathUpdate::Table& tag_to_path() const {
+    return *tag_to_path_;
   }
 
  private:
   QueryBackend* store_;
-  std::map<std::string, std::string> tag_to_path_;
+  std::shared_ptr<const FilePathUpdate::Table> tag_to_path_ =
+      std::make_shared<const FilePathUpdate::Table>();
 };
 
 }  // namespace dio::backend

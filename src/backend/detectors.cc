@@ -29,6 +29,8 @@ Expected<std::vector<Finding>> DetectStaleOffsets(
   });
   request.sort = {{"time_enter", true}};
   request.size = std::numeric_limits<std::size_t>::max();
+  request.source = {"file_tag", "file_offset", "file_path", "ret", "comm",
+                    "time_enter"};
   auto reads = store->Search(index, request);
   if (!reads.ok()) return reads.status();
 
@@ -196,6 +198,7 @@ Expected<std::vector<Finding>> DetectRandomAccess(
                               Query::Exists("file_path")});
   request.sort = {{"time_enter", true}};
   request.size = std::numeric_limits<std::size_t>::max();
+  request.source = {"file_path", "file_offset", "ret"};
   auto events = store->Search(index, request);
   if (!events.ok()) return events.status();
 

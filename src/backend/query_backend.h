@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,17 +43,31 @@ struct SearchRequest {
   std::vector<SortSpec> sort;  // empty = docid (ingestion) order
   std::size_t from = 0;
   std::size_t size = 10'000;
+  // Source projection, like ES `_source` includes: empty = whole documents;
+  // otherwise each hit carries only the listed top-level fields its
+  // document has, in document member order (ProjectFields). Matching,
+  // sort, total and paging are unaffected — a sort field need not be
+  // listed. Typed rows build just these fields from the columns, so an
+  // analysis that reads a few fields of many hits should list them.
+  std::vector<std::string> source;
 
   // Parses an Elasticsearch-style search body:
-  //   {"query": {...}, "sort": ["time_enter", {"ret": {"order": "desc"}}],
-  //    "from": 0, "size": 100}
-  // Rejects requests paging past `max_result_window` (from + size), like
-  // ES's index.max_result_window guard.
+  //   {"query": {...}, "sort": ["time_enter", {"ret": {"order": "desc"}},
+  //    {"pid": "asc"}], "from": 0, "size": 100}
+  // A sort order must be "asc" or "desc"; from and size must be
+  // non-negative integers. Rejects requests paging past
+  // `max_result_window` (from + size), like ES's index.max_result_window
+  // guard. Every error names the offending key.
   static Expected<SearchRequest> FromJson(
       const Json& body, std::size_t max_result_window = 10'000);
   static Expected<SearchRequest> FromJsonText(
       std::string_view text, std::size_t max_result_window = 10'000);
 };
+
+// The `fields` projection of one document (SearchRequest::source): only the
+// listed top-level members the document has, in document member order. An
+// empty list, or a document that is not an object, returns it unchanged.
+Json ProjectFields(const Json& doc, std::span<const std::string> fields);
 
 struct SearchResult {
   std::vector<Hit> hits;

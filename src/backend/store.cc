@@ -1,6 +1,7 @@
 #include "backend/store.h"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <limits>
@@ -8,11 +9,57 @@
 #include <optional>
 #include <thread>
 
+#include "backend/correlation.h"
 #include "backend/simd_kernels.h"
 #include "backend/typed_ingest.h"
 #include "tracer/event.h"
 
 namespace dio::backend {
+
+namespace {
+
+// A search body's `from` / `size`: a non-negative integer. A double counts
+// only when it is integral and at most 2^53, so the conversion is exact and
+// can never overflow.
+Expected<std::size_t> ParseResultCount(const std::string& key,
+                                       const Json& value) {
+  if (value.is_int()) {
+    if (value.as_int() >= 0) return static_cast<std::size_t>(value.as_int());
+  } else if (value.is_double()) {
+    const double d = value.as_double();
+    if (d >= 0.0 && d == std::floor(d)) {
+      if (d > 9007199254740992.0) {
+        return InvalidArgument(key + " is out of range");
+      }
+      return static_cast<std::size_t>(d);
+    }
+  }
+  return InvalidArgument(key + " must be a non-negative integer");
+}
+
+// One sort spec: "field", {"field": "asc"|"desc"} (ES shorthand) or
+// {"field": {"order": "asc"|"desc"}}; the order defaults to ascending.
+Expected<SortSpec> ParseSortSpec(const Json& spec) {
+  if (spec.is_string()) return SortSpec{spec.as_string(), true};
+  if (!spec.is_object() || spec.as_object().size() != 1) {
+    return InvalidArgument(
+        "sort: each spec must be a field name or a one-field object");
+  }
+  const auto& [field, opts] = spec.as_object().front();
+  const Json* order = &opts;
+  if (opts.is_object()) {
+    order = opts.Find("order");
+    if (order == nullptr) return SortSpec{field, true};
+  }
+  if (!order->is_string() ||
+      (order->as_string() != "asc" && order->as_string() != "desc")) {
+    return InvalidArgument("sort: order of '" + field +
+                           "' must be \"asc\" or \"desc\"");
+  }
+  return SortSpec{field, order->as_string() == "asc"};
+}
+
+}  // namespace
 
 Expected<SearchRequest> SearchRequest::FromJson(const Json& body,
                                                 std::size_t max_result_window) {
@@ -32,26 +79,14 @@ Expected<SearchRequest> SearchRequest::FromJson(const Json& body,
         return InvalidArgument("sort must be an array");
       }
       for (const Json& spec : value.as_array()) {
-        if (spec.is_string()) {
-          request.sort.push_back({spec.as_string(), true});
-        } else if (spec.is_object() && spec.as_object().size() == 1) {
-          const auto& [field, opts] = spec.as_object().front();
-          const bool ascending = opts.GetString("order", "asc") != "desc";
-          request.sort.push_back({field, ascending});
-        } else {
-          return InvalidArgument("bad sort spec");
-        }
+        auto parsed = ParseSortSpec(spec);
+        if (!parsed.ok()) return parsed.status();
+        request.sort.push_back(std::move(*parsed));
       }
-    } else if (key == "from") {
-      if (!value.is_number() || value.as_int() < 0) {
-        return InvalidArgument("from must be a non-negative number");
-      }
-      request.from = static_cast<std::size_t>(value.as_int());
-    } else if (key == "size") {
-      if (!value.is_number() || value.as_int() < 0) {
-        return InvalidArgument("size must be a non-negative number");
-      }
-      request.size = static_cast<std::size_t>(value.as_int());
+    } else if (key == "from" || key == "size") {
+      auto count = ParseResultCount(key, value);
+      if (!count.ok()) return count.status();
+      (key == "from" ? request.from : request.size) = *count;
     } else {
       return InvalidArgument("unknown search body key: " + key);
     }
@@ -70,6 +105,18 @@ Expected<SearchRequest> SearchRequest::FromJsonText(
   auto parsed = Json::Parse(text);
   if (!parsed.ok()) return parsed.status();
   return FromJson(*parsed, max_result_window);
+}
+
+Json ProjectFields(const Json& doc, std::span<const std::string> fields) {
+  if (fields.empty() || !doc.is_object()) return doc;
+  JsonObject members;
+  for (const JsonMember& member : doc.as_object()) {
+    if (std::find(fields.begin(), fields.end(), member.first) !=
+        fields.end()) {
+      members.push_back(member);
+    }
+  }
+  return Json(std::move(members));
 }
 
 ElasticStoreOptions ElasticStoreOptions::FromConfig(const Config& config) {
@@ -114,15 +161,37 @@ ElasticStore::Index::Index(std::size_t num_shards, std::size_t segment_docs,
   }
 }
 
-Json ElasticStore::Index::MaterializedDoc(DocId id) const {
-  const SubShard& shard = *shards[static_cast<std::size_t>(id) % shards.size()];
-  const auto pos = static_cast<std::size_t>(id) / shards.size();
-  if (shard.IsTyped(pos)) {
-    const ColumnSegment& segment = shard.segments.SegmentFor(pos);
-    return MaterializeWireDoc(segment.columns, shard.segments.LocalPos(pos));
+// Row-oriented view of an index's rows for one request, honouring its
+// source projection: JSON rows copy the stored document; typed rows are
+// rebuilt from the columns through one WireDocBuilder per (shard, segment),
+// resolved on first use. Byte-identical to what the JSON route would
+// return. The caller holds refresh_mu for the reader's lifetime.
+class ElasticStore::RowReader {
+ public:
+  RowReader(const Index& index, std::span<const std::string> fields)
+      : index_(index), fields_(fields), builders_(index.num_shards()) {}
+
+  [[nodiscard]] Json Read(DocId id) {
+    const std::size_t num_shards = index_.num_shards();
+    const std::size_t s = static_cast<std::size_t>(id) % num_shards;
+    const std::size_t pos = static_cast<std::size_t>(id) / num_shards;
+    const SubShard& shard = *index_.shards[s];
+    if (!shard.IsTyped(pos)) return ProjectFields(shard.docs[pos], fields_);
+    const SegmentedColumns& segments = shard.segments;
+    const std::size_t seg = segments.SegmentIndexFor(pos);
+    auto& per_segment = builders_[s];
+    if (per_segment.size() <= seg) per_segment.resize(seg + 1);
+    if (!per_segment[seg].has_value()) {
+      per_segment[seg].emplace(segments.segments()[seg]->columns, fields_);
+    }
+    return per_segment[seg]->Build(segments.LocalPos(pos));
   }
-  return shard.docs[pos];
-}
+
+ private:
+  const Index& index_;
+  std::span<const std::string> fields_;
+  std::vector<std::vector<std::optional<WireDocBuilder>>> builders_;
+};
 
 ElasticStore::ElasticStore(std::size_t shards_per_index)
     : ElasticStore([shards_per_index] {
@@ -711,6 +780,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
   std::shared_lock refresh_lock(index->refresh_mu);
 
   std::vector<DocId> matches = MatchingDocs(*index, request.query);
+  RowReader rows(*index, request.source);
 
   if (!options_.doc_values) {
     // Serial JSON engine: sort with per-comparison Json::Find (the oracle).
@@ -743,7 +813,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
     const std::size_t end = std::min(start + request.size, matches.size());
     result.hits.reserve(end - start);
     for (std::size_t i = start; i < end; ++i) {
-      result.hits.push_back(Hit{matches[i], index->DocAt(matches[i])});
+      result.hits.push_back(Hit{matches[i], rows.Read(matches[i])});
     }
     return result;
   }
@@ -759,7 +829,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
   if (request.sort.empty()) {
     result.hits.reserve(end - start);
     for (std::size_t i = start; i < end; ++i) {
-      result.hits.push_back(Hit{matches[i], index->MaterializedDoc(matches[i])});
+      result.hits.push_back(Hit{matches[i], rows.Read(matches[i])});
     }
     return result;
   }
@@ -840,7 +910,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
   result.hits.reserve(end - start);
   for (std::size_t i = start; i < end; ++i) {
     const DocId id = matches[order[i]];
-    result.hits.push_back(Hit{id, index->MaterializedDoc(id)});
+    result.hits.push_back(Hit{id, rows.Read(id)});
   }
   return result;
 }
@@ -1005,7 +1075,23 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
   std::unique_lock refresh_lock = index->LockForMutation();
   std::vector<DocId> matches = MatchingDocs(*index, query);
   const std::size_t num_shards = index->num_shards();
+  // Correlation's update keeps typed rows typed: their file_path goes
+  // straight into the segment's columns through one FilePathColumnWriter
+  // per (shard, segment). Matches ascend per shard, so each shard's current
+  // segment only ever moves forward.
+  const FilePathUpdate* file_path_update = update.target<FilePathUpdate>();
+  struct SegmentWriter {
+    std::size_t segment = std::numeric_limits<std::size_t>::max();
+    std::optional<FilePathColumnWriter> writer;
+  };
+  std::vector<SegmentWriter> writers(num_shards);
   std::vector<std::vector<std::size_t>> modified_pos(num_shards);
+  // Per shard, the segments whose columns changed: each must be padded,
+  // re-ranked and have its filter cache dropped before the lock is released.
+  std::vector<std::vector<std::uint8_t>> touched(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    touched[s].assign(index->shards[s]->segments.num_segments(), 0);
+  }
   std::size_t modified = 0;
   for (DocId id : matches) {
     const std::size_t s = static_cast<std::size_t>(id) % num_shards;
@@ -1013,13 +1099,22 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
     SubShard& shard = *index->shards[s];
     std::unique_lock shard_lock(shard.mu);
     if (shard.IsTyped(pos)) {
-      // Typed rows are updated through their materialized document; a
-      // modification converts the row to a JSON row (updates are rare —
-      // one correlation pass per session — and conversion keeps the update
-      // path identical for both routes from here on).
-      const ColumnSegment& segment = shard.segments.SegmentFor(pos);
-      Json doc =
-          MaterializeWireDoc(segment.columns, shard.segments.LocalPos(pos));
+      const std::size_t seg = shard.segments.SegmentIndexFor(pos);
+      if (file_path_update != nullptr) {
+        SegmentWriter& w = writers[s];
+        if (w.segment != seg) {
+          w.segment = seg;
+          w.writer.emplace(&shard.segments.segments()[seg]->columns,
+                           *file_path_update->tag_to_path);
+        }
+        if (w.writer->Apply(shard.segments.LocalPos(pos))) ++modified;
+        if (w.writer->changed()) touched[s][seg] = 1;
+        continue;
+      }
+      // Any other update goes through the materialized document; a
+      // modification converts the row to a JSON row.
+      Json doc = MaterializeWireDoc(shard.segments.SegmentFor(pos).columns,
+                                    shard.segments.LocalPos(pos));
       if (!update(doc)) continue;
       shard.docs[pos] = std::move(doc);
       shard.typed[pos] = 0;
@@ -1039,23 +1134,20 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
     SortNumericsIfDirty(*shard);
   }
   if (options_.doc_values) {
-    // Rewrite just the modified slots in place and invalidate only the
+    // Rewrite just the modified JSON slots in place and invalidate only the
     // touched segments' caches: blocks the update never reached keep their
     // bitmaps and their dictionary ranks (a rewrite may add dictionary
     // entries, but FinishBatch re-ranks only dictionaries that grew).
     for (std::size_t s = 0; s < num_shards; ++s) {
-      if (modified_pos[s].empty()) continue;
       SubShard& shard = *index->shards[s];
       std::unique_lock shard_lock(shard.mu);
-      std::vector<std::uint8_t> touched(shard.segments.num_segments(), 0);
       for (const std::size_t pos : modified_pos[s]) {
-        ColumnSegment& segment = shard.segments.SegmentFor(pos);
-        segment.columns.ReplaceRow(shard.segments.LocalPos(pos),
-                                   shard.docs[pos]);
-        touched[shard.segments.SegmentIndexFor(pos)] = 1;
+        shard.segments.SegmentFor(pos).columns.ReplaceRow(
+            shard.segments.LocalPos(pos), shard.docs[pos]);
+        touched[s][shard.segments.SegmentIndexFor(pos)] = 1;
       }
-      for (std::size_t k = 0; k < touched.size(); ++k) {
-        if (touched[k] == 0) continue;
+      for (std::size_t k = 0; k < touched[s].size(); ++k) {
+        if (touched[s][k] == 0) continue;
         ColumnSegment& segment = *shard.segments.segments()[k];
         segment.columns.FinishBatch();
         segment.cache.Clear();
@@ -1114,8 +1206,9 @@ Status ElasticStore::SaveIndex(const std::string& index_name,
   header.Set("dio_index_snapshot", index_name);
   header.Set("docs", static_cast<std::int64_t>(doc_count));
   out << header.Dump() << "\n";
+  RowReader rows(*index, {});
   for (DocId id = 0; id < doc_count; ++id) {
-    out << index->MaterializedDoc(id).Dump() << "\n";
+    out << rows.Read(id).Dump() << "\n";
   }
   out.close();
   if (!out) return Unavailable("write failed: " + file_path);

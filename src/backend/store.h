@@ -7,7 +7,8 @@
 //   * term/range/prefix/bool queries with per-field inverted + numeric
 //     indexes,
 //   * aggregations (terms, histograms, percentiles) with sub-aggregations,
-//   * update-by-query, which the file-path correlation algorithm uses.
+//   * update-by-query, which the file-path correlation algorithm uses (its
+//     FilePathUpdate writes typed rows' file_path into the columns in place).
 //
 // Query execution has two engines:
 //   * the serial JSON engine — per-document Query::Matches over raw Json,
@@ -117,10 +118,10 @@ class ElasticStore : public QueryBackend {
   // Typed bulk ingestion: buffers binary wire records; at Refresh their
   // fields are appended straight into doc-value columns (no JSON build, no
   // postings). Queries over typed rows read the columns; row-oriented views
-  // (hits, snapshots, update-by-query) are rebuilt on demand and are
-  // byte-identical to the documents Bulk() would have produced from
-  // WireEventToJson. Falls back to exactly that Bulk() route when
-  // typed_ingest or doc_values is off.
+  // (hits, snapshots, a generic update-by-query) are rebuilt on demand and
+  // are byte-identical to the documents Bulk() would have produced from
+  // WireEventToJson (plus a correlated file_path). Falls back to exactly
+  // that Bulk() route when typed_ingest or doc_values is off.
   void BulkWire(const std::string& index, std::string_view session,
                 std::vector<tracer::WireEvent> records);
   // Makes all buffered documents searchable.
@@ -149,6 +150,9 @@ class ElasticStore : public QueryBackend {
   // Applies `update` to every matching document. The callback returns
   // whether it modified the document; only modified documents are re-indexed
   // and counted. Returns the number of documents actually modified.
+  // A FilePathUpdate callback (backend/correlation.h) is recognized: typed
+  // rows then gain file_path in their segment's columns and stay typed.
+  // Any other callback converts each typed row it modifies to a JSON row.
   Expected<std::size_t> UpdateByQuery(
       const std::string& index, const Query& query,
       const std::function<bool(Json&)>& update) override;
@@ -198,10 +202,12 @@ class ElasticStore : public QueryBackend {
     SegmentedColumns segments;
 
     // Typed-ingest state (backend.typed_ingest): typed[pos] != 0 marks a row
-    // whose fields live only in `columns` — docs[pos] is a null placeholder
+    // whose fields live only in `segments` — docs[pos] is a null placeholder
     // and the term/numeric indexes never saw it, so while typed_rows > 0
     // queries must take the scan path (Candidates() would miss these rows).
-    // An update-by-query that modifies a typed row converts it to a JSON row.
+    // Correlation keeps a row typed (its file_path is one more column); any
+    // other update-by-query that modifies a typed row converts it to a JSON
+    // row.
     std::vector<std::uint8_t> typed;
     std::size_t typed_rows = 0;
 
@@ -293,11 +299,9 @@ class ElasticStore : public QueryBackend {
     [[nodiscard]] Json& DocAt(DocId id) {
       return shards[static_cast<std::size_t>(id) % shards.size()]->DocAt(id);
     }
-    // Row-oriented view of any row: JSON rows copy the stored document,
-    // typed rows rebuild it from the columns (byte-identical to what the
-    // JSON route would have stored). Caller holds refresh_mu.
-    [[nodiscard]] Json MaterializedDoc(DocId id) const;
   };
+
+  class RowReader;
 
   static std::string TermKey(const Json& value);
   static void IndexDoc(SubShard& shard, DocId id, const Json& doc);

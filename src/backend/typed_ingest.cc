@@ -1,5 +1,7 @@
 #include "backend/typed_ingest.h"
 
+#include <algorithm>
+
 namespace dio::backend {
 
 namespace {
@@ -144,30 +146,106 @@ std::size_t WireColumnAppender::Append(const tracer::WireEvent& raw,
   return pos;
 }
 
-Json MaterializeWireDoc(const ColumnSet& columns, std::size_t pos) {
-  Json doc = Json::MakeObject();
-  for (const std::string& field : WireDocFields()) {
-    const DocValueColumn* col = columns.Find(field);
-    if (col == nullptr || col->kinds.size() <= pos) continue;
-    switch (col->kind(pos)) {
+WireDocBuilder::WireDocBuilder(const ColumnSet& columns,
+                               std::span<const std::string> fields) {
+  static const std::string kFilePath(kFilePathField);
+  const auto wanted = [fields](const std::string& name) {
+    return fields.empty() ||
+           std::find(fields.begin(), fields.end(), name) != fields.end();
+  };
+  const std::vector<std::string>& wire_fields = WireDocFields();
+  slots_.reserve(wire_fields.size() + 1);
+  const auto add = [&](const std::string& name) {
+    if (!wanted(name)) return;
+    if (const DocValueColumn* col = columns.Find(name)) {
+      slots_.push_back({&name, col});
+    }
+  };
+  for (const std::string& name : wire_fields) add(name);
+  add(kFilePath);
+}
+
+Json WireDocBuilder::Build(std::size_t pos) const {
+  // Field names are distinct, so members are appended directly instead of
+  // through Json::Set's duplicate scan.
+  JsonObject members;
+  members.reserve(slots_.size());
+  for (const Slot& slot : slots_) {
+    const DocValueColumn& col = *slot.col;
+    if (col.kinds.size() <= pos) continue;
+    switch (col.kind(pos)) {
       case ValueKind::kInt:
-        doc.Set(field, col->ints[pos]);
+        members.emplace_back(*slot.name, col.ints[pos]);
         break;
       case ValueKind::kString:
-        doc.Set(field, std::string(col->str(pos)));
+        members.emplace_back(*slot.name, col.str(pos));
         break;
       case ValueKind::kDouble:
-        doc.Set(field, col->dbls[pos]);
+        members.emplace_back(*slot.name, col.dbls[pos]);
         break;
       case ValueKind::kBool:
-        doc.Set(field, col->ints[pos] != 0);
+        members.emplace_back(*slot.name, col.ints[pos] != 0);
         break;
       case ValueKind::kMissing:
       case ValueKind::kOther:  // never written by the typed appender
         break;
     }
   }
-  return doc;
+  return Json(std::move(members));
+}
+
+Json MaterializeWireDoc(const ColumnSet& columns, std::size_t pos) {
+  return WireDocBuilder(columns).Build(pos);
+}
+
+FilePathColumnWriter::FilePathColumnWriter(
+    ColumnSet* columns, const std::map<std::string, std::string>& tag_to_path)
+    : columns_(columns),
+      tag_to_path_(tag_to_path),
+      tag_col_(columns->Find(WireDocFields()[kFileTag])),
+      // An existing column is adopted (TypedColumn creates nothing then);
+      // a missing one is created only once a row actually resolves.
+      path_col_(columns->Find(kFilePathField) != nullptr
+                    ? &columns->TypedColumn(std::string(kFilePathField))
+                    : nullptr) {
+  if (tag_col_ != nullptr) path_ord_.assign(tag_col_->dict.size(), kUnseen);
+}
+
+bool FilePathColumnWriter::Apply(std::size_t pos) {
+  if (tag_col_ == nullptr || tag_col_->kinds.size() <= pos ||
+      tag_col_->kind(pos) != ValueKind::kString) {
+    return false;
+  }
+  if (path_col_ != nullptr && path_col_->kinds.size() > pos &&
+      path_col_->kind(pos) != ValueKind::kMissing) {
+    return false;  // already correlated
+  }
+  const auto tag_ord = static_cast<std::size_t>(tag_col_->ints[pos]);
+  std::int64_t& ord = path_ord_[tag_ord];
+  if (ord == kUnseen) {
+    auto it = tag_to_path_.find(tag_col_->dict[tag_ord]);
+    if (it == tag_to_path_.end()) {
+      ord = kUnknownTag;
+    } else {
+      if (path_col_ == nullptr) {
+        path_col_ = &columns_->TypedColumn(std::string(kFilePathField));
+        changed_ = true;
+      }
+      auto [entry, inserted] = path_col_->dict_lookup.try_emplace(
+          it->second, static_cast<std::uint32_t>(path_col_->dict.size()));
+      if (inserted) {
+        path_col_->dict.push_back(it->second);
+        path_col_->ranks_dirty = true;
+      }
+      ord = entry->second;
+    }
+  }
+  if (ord == kUnknownTag) return false;
+  path_col_->EnsureSlots(columns_->num_docs());
+  path_col_->kinds[pos] = static_cast<std::uint8_t>(ValueKind::kString);
+  path_col_->ints[pos] = ord;
+  changed_ = true;
+  return true;
 }
 
 }  // namespace dio::backend

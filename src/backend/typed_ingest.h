@@ -13,13 +13,17 @@
 // when the syscall takes one, flags only when non-zero, ...) and value
 // encodings exactly, so MaterializeWireDoc() can rebuild the byte-identical
 // JSON document from the columns whenever a row-oriented view is needed
-// (search hits, spool/save, update-by-query). Every wire-document field is a
-// scalar, so the columns are a lossless encoding of the document.
+// (search hits, snapshots, a generic update-by-query). Every wire-document
+// field is a scalar, so the columns are a lossless encoding of the document.
+// Correlation keeps rows typed: its file_path is written into the columns in
+// place (FilePathColumnWriter) and materialized after the wire fields.
 // `backend.typed_ingest=false` keeps the JSON route as the parity oracle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,9 +61,67 @@ class WireColumnAppender {
   std::string scratch_;  // dictionary-lookup key buffer (reused, no allocs)
 };
 
-// Rebuilds the JSON document of a typed row from the columns. For rows
-// written by WireColumnAppender the result is byte-identical to the
-// WireEventToJson document the JSON route would have indexed.
+// The one field a typed row can gain after ingest: the correlator's resolved
+// path (backend/correlation.h). Update-by-query writes it into the row's
+// segment as a string column in place, and materialization appends it after
+// the wire fields — exactly where the JSON route's Json::Set puts it.
+inline constexpr std::string_view kFilePathField = "file_path";
+
+// Rebuilds typed rows of one ColumnSet as JSON documents. The columns are
+// resolved once at construction (one per (shard, segment) in a search), so
+// Build is one kind-byte read plus one member append per present field.
+// Members come out in WireDocFields() order followed by kFilePathField;
+// `fields`, when non-empty, keeps only those names (a search's source
+// projection) without changing the relative order. The ColumnSet must
+// outlive the builder.
+class WireDocBuilder {
+ public:
+  explicit WireDocBuilder(const ColumnSet& columns,
+                          std::span<const std::string> fields = {});
+
+  // For rows written by WireColumnAppender (plus an in-place file_path) the
+  // full document is byte-identical to the JSON route's document.
+  [[nodiscard]] Json Build(std::size_t pos) const;
+
+ private:
+  struct Slot {
+    const std::string* name;
+    const DocValueColumn* col;
+  };
+  std::vector<Slot> slots_;
+};
+
+// One-row convenience over WireDocBuilder (resolves the columns per call).
 Json MaterializeWireDoc(const ColumnSet& columns, std::size_t pos);
+
+// Writes the correlator's file_path into the typed rows of one ColumnSet in
+// place — no JSON document, no row conversion. Each file_tag dictionary
+// ordinal is resolved against `tag_to_path` once, to a file_path dictionary
+// ordinal; every later row with that tag is two array stores. The file_path
+// column is created on the first resolved row and padded to every slot.
+class FilePathColumnWriter {
+ public:
+  FilePathColumnWriter(ColumnSet* columns,
+                       const std::map<std::string, std::string>& tag_to_path);
+
+  // Sets file_path on slot `pos` unless it already has one or its file_tag
+  // is unknown; returns whether the slot changed (the callback semantics of
+  // FilePathUpdate).
+  bool Apply(std::size_t pos);
+  // True once the column set changed shape or content: the caller must
+  // FinishBatch it and drop its segment's filter cache before readers see it.
+  [[nodiscard]] bool changed() const { return changed_; }
+
+ private:
+  static constexpr std::int64_t kUnseen = -2;
+  static constexpr std::int64_t kUnknownTag = -1;
+
+  ColumnSet* columns_;
+  const std::map<std::string, std::string>& tag_to_path_;
+  const DocValueColumn* tag_col_;
+  DocValueColumn* path_col_;
+  std::vector<std::int64_t> path_ord_;  // file_tag ordinal -> file_path ordinal
+  bool changed_ = false;
+};
 
 }  // namespace dio::backend

@@ -70,6 +70,28 @@ bool OracleSortBefore(const std::vector<backend::SortSpec>& specs,
   return false;
 }
 
+// The projection each shard applies for a projected search: the request's
+// fields plus any sort field they lack, because the router's merge compares
+// sort keys on the shard hits. Empty when the request is not projected.
+std::vector<std::string> ScatterSource(const backend::SearchRequest& request) {
+  std::vector<std::string> fields = request.source;
+  if (fields.empty()) return fields;
+  for (const backend::SortSpec& spec : request.sort) {
+    if (std::find(fields.begin(), fields.end(), spec.field) == fields.end()) {
+      fields.push_back(spec.field);
+    }
+  }
+  return fields;
+}
+
+// A merged hit as the request asked for it: without the sort fields
+// ScatterSource added.
+Json RequestedSource(const backend::SearchRequest& request,
+                     std::size_t scatter_fields, Json doc) {
+  if (scatter_fields == request.source.size()) return doc;
+  return backend::ProjectFields(doc, request.source);
+}
+
 }  // namespace
 
 std::string_view ToString(AckLevel level) {
@@ -819,7 +841,8 @@ const BackendNode* ClusterRouter::ReaderFor(const IndexState& ix,
 
 Expected<std::vector<std::pair<std::uint64_t, Json>>>
 ClusterRouter::GatherMatches(const IndexState& ix, const std::string& index,
-                             const backend::Query& query) const {
+                             const backend::Query& query,
+                             const std::vector<std::string>& source) const {
   // Scatter plan, built in shard order under the caller's (shared) lock:
   // one task per populated shard, reading only state the lock freezes
   // (reader stores, global-seq maps) so tasks are safe on pool workers.
@@ -850,6 +873,7 @@ ClusterRouter::GatherMatches(const IndexState& ix, const std::string& index,
   backend::SearchRequest scatter;
   scatter.query = query;
   scatter.size = std::numeric_limits<std::size_t>::max();
+  scatter.source = source;
   RunScatter(tasks.size(), [&](std::size_t i) {
     Task& t = tasks[i];
     auto result = t.store->Search(SubIndexName(index, t.shard), scatter);
@@ -919,7 +943,8 @@ Expected<backend::SearchResult> ClusterRouter::Search(
 Expected<backend::SearchResult> ClusterRouter::SearchGatherAll(
     const IndexState& ix, const std::string& index,
     const backend::SearchRequest& request) const {
-  auto merged = GatherMatches(ix, index, request.query);
+  const std::vector<std::string> scatter_source = ScatterSource(request);
+  auto merged = GatherMatches(ix, index, request.query, scatter_source);
   if (!merged.ok()) return merged.status();
 
   if (!request.sort.empty()) {
@@ -938,8 +963,9 @@ Expected<backend::SearchResult> ClusterRouter::SearchGatherAll(
   const std::size_t end = std::min(start + request.size, merged->size());
   result.hits.reserve(end - start);
   for (std::size_t i = start; i < end; ++i) {
-    result.hits.push_back(backend::Hit{(*merged)[i].first,
-                                       std::move((*merged)[i].second)});
+    auto& [gseq, doc] = (*merged)[i];
+    result.hits.push_back(backend::Hit{
+        gseq, RequestedSource(request, scatter_source.size(), std::move(doc))});
   }
   return result;
 }
@@ -984,6 +1010,7 @@ Expected<backend::SearchResult> ClusterRouter::SearchPushdown(
   scatter.query = request.query;
   scatter.sort = request.sort;
   scatter.size = want;
+  scatter.source = ScatterSource(request);
   RunScatter(tasks.size(), [&](std::size_t i) {
     Task& t = tasks[i];
     auto result = t.store->Search(SubIndexName(index, t.shard), scatter);
@@ -1049,7 +1076,9 @@ Expected<backend::SearchResult> ClusterRouter::SearchPushdown(
     heads.pop();
     auto& entry = streams[s][cursor[s]];
     if (emitted >= request.from) {
-      out.hits.push_back(backend::Hit{entry.first, std::move(entry.second)});
+      out.hits.push_back(backend::Hit{
+          entry.first, RequestedSource(request, scatter.source.size(),
+                                       std::move(entry.second))});
     }
     ++emitted;
     if (++cursor[s] < streams[s].size()) heads.push(s);

@@ -404,12 +404,14 @@ class ClusterRouter : public backend::QueryBackend {
                                              std::size_t shard) const;
 
   // Gathers all matching documents of `index` in global-seq order (the
-  // scatter half of Search/Aggregate), serial or pooled per query_fanout().
+  // scatter half of Search/Aggregate), serial or pooled per query_fanout(),
+  // each projected to `source` (SearchRequest::source; empty = whole).
   // Caller holds mu_ (shared suffices; the lock freezes topology, readers,
   // and the global-seq maps for the pool workers).
   Expected<std::vector<std::pair<std::uint64_t, Json>>> GatherMatches(
       const IndexState& ix, const std::string& index,
-      const backend::Query& query) const;
+      const backend::Query& query,
+      const std::vector<std::string>& source = {}) const;
 
   // The two query plans behind Search. Serial fan-out keeps the
   // gather-everything plan as the parity oracle; parallel fan-out pushes

@@ -158,6 +158,8 @@ struct RunData {
   std::map<std::string, std::size_t> restored_key_counts;
   std::set<std::string> restored_canonical;
   std::map<std::string, std::string> tag_to_path;
+  // CheckCorrelated violations, for every correlation this run made.
+  std::vector<std::string> correlation_violations;
 
   // Cluster-mode harvest (options.cluster_nodes > 0).
   bool node_crashed = false;     // the nodecrash fault actually fired
@@ -259,7 +261,64 @@ Expected<std::string> QueryMixDigest(const backend::QueryBackend& backend,
       backend::Aggregation::Percentiles("ret", {50.0, 95.0, 99.0}));
   if (!pct.ok()) return pct.status();
   AppendAgg(*pct, &out);
+  // A projected page sorted on a field the projection omits: the cluster
+  // router must add the sort field for its merge and drop it again.
+  backend::SearchRequest projected;
+  projected.query = backend::Query::Exists("file_tag");
+  projected.sort = {{"time_enter", false}};
+  projected.from = 1;
+  projected.size = 30;
+  projected.source = {"syscall", "ret", "file_tag"};
+  auto projected_page = backend.Search(index, projected);
+  if (!projected_page.ok()) return projected_page.status();
+  out += "projected_total=" + std::to_string(projected_page->total) + "\n";
+  for (const backend::Hit& hit : projected_page->hits) {
+    out += std::to_string(hit.id) + "|" + hit.source.Dump() + "\n";
+  }
   return out;
+}
+
+// Invariants of one finished correlation: every tagged event carries
+// exactly the path its tag resolved to (none when the tag is unknown), and
+// when `all_typed` — typed ingest with no row re-bulked as JSON — every row
+// is still typed, because correlation writes file_path into the columns in
+// place. Violations are appended to `violations`.
+Status CheckCorrelated(const backend::QueryBackend& backend,
+                       const std::string& index,
+                       const backend::FilePathUpdate::Table& tag_to_path,
+                       bool all_typed, std::vector<std::string>* violations) {
+  if (all_typed) {
+    auto stats = backend.Stats(index);
+    if (!stats.ok()) return stats.status();
+    if (stats->typed_rows != stats->doc_count) {
+      violations->push_back(
+          "correlation converted rows: typed_rows " +
+          std::to_string(stats->typed_rows) + " != doc_count " +
+          std::to_string(stats->doc_count) + " on " + index);
+    }
+  }
+  backend::SearchRequest tagged;
+  tagged.query = backend::Query::Exists("file_tag");
+  tagged.size = std::numeric_limits<std::size_t>::max();
+  tagged.source = {"file_tag", "file_path"};
+  auto hits = backend.Search(index, tagged);
+  if (!hits.ok()) return hits.status();
+  for (const backend::Hit& hit : hits->hits) {
+    const std::string tag = hit.source.GetString("file_tag");
+    auto it = tag_to_path.find(tag);
+    const Json* path = hit.source.Find("file_path");
+    const bool ok = it == tag_to_path.end()
+                        ? path == nullptr
+                        : path != nullptr && path->is_string() &&
+                              path->as_string() == it->second;
+    if (!ok) {
+      violations->push_back("event " + std::to_string(hit.id) + " with tag " +
+                            tag + " has file_path " +
+                            (path == nullptr ? "<none>" : path->Dump()) +
+                            " on " + index);
+    }
+  }
+  return Status::Ok();
 }
 
 // Issues exactly one syscall for `task` at its pinned virtual time.
@@ -744,14 +803,25 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
     }
   }
 
+  // Correlation keeps typed rows typed, unless the JSON route ingested them
+  // or a snapshot catch-up re-bulked a replica's rows as JSON documents.
+  const auto all_typed = [&] {
+    return options.typed_ingest &&
+           (!cluster_mode || router->snapshot_catchups() == 0);
+  };
+
   if (golden) {
     // Golden reference: correlate the (lossless) live backend — the single
     // store, or the scatter/gather router in cluster mode.
-    backend::FilePathCorrelator correlator(
+    backend::QueryBackend* live =
         cluster_mode ? static_cast<backend::QueryBackend*>(router.get())
-                     : &store);
+                     : &store;
+    backend::FilePathCorrelator correlator(live);
     if (auto run = correlator.Run(session); !run.ok()) return run.status();
     data.tag_to_path = correlator.tag_to_path();
+    DIO_RETURN_IF_ERROR(CheckCorrelated(*live, session, data.tag_to_path,
+                                        all_typed(),
+                                        &data.correlation_violations));
     return data;
   }
 
@@ -796,6 +866,9 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
           return run.status();
         }
         data.tag_to_path = correlator.tag_to_path();
+        DIO_RETURN_IF_ERROR(CheckCorrelated(*router, session,
+                                            data.tag_to_path, all_typed(),
+                                            &data.correlation_violations));
       }
     } else {
       backend::FilePathCorrelator correlator(&store);
@@ -803,6 +876,9 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
         return run.status();
       }
       data.tag_to_path = correlator.tag_to_path();
+      DIO_RETURN_IF_ERROR(CheckCorrelated(store, restored_index,
+                                          data.tag_to_path, all_typed(),
+                                          &data.correlation_violations));
     }
   }
   return data;
@@ -1116,6 +1192,11 @@ Expected<SimResult> RunSimulation(const SimOptions& options) {
     auto it = golden->tag_to_path.find(tag);
     check.Check(it != golden->tag_to_path.end() && it->second == path,
                 "correlation diverged from golden for tag " + tag);
+  }
+  for (const RunData* run : {&*golden, &*run_a}) {
+    for (const std::string& violation : run->correlation_violations) {
+      check.Check(false, violation);
+    }
   }
 
   result.violations = check.violations();

@@ -277,6 +277,59 @@ TEST_F(StoreTest, SearchBodyRejectsMalformed) {
       SearchRequest::FromJsonText(R"({"query": {"bogus": {}}})").ok());
 }
 
+// Search bodies come from outside the process: each malformed field fails
+// with an error naming its key instead of being coerced.
+
+TEST_F(StoreTest, SearchBodySortShorthand) {
+  auto request = SearchRequest::FromJsonText(
+      R"({"sort": [{"ret": "desc"}, {"tid": "asc"}, {"pid": {}}]})");
+  ASSERT_TRUE(request.ok()) << request.status().message();
+  ASSERT_EQ(request->sort.size(), 3u);
+  EXPECT_EQ(request->sort[0].field, "ret");
+  EXPECT_FALSE(request->sort[0].ascending);
+  EXPECT_TRUE(request->sort[1].ascending);
+  EXPECT_TRUE(request->sort[2].ascending);  // no order given: ascending
+}
+
+TEST_F(StoreTest, SearchBodyRejectsUnknownSortOrder) {
+  for (const char* body : {R"({"sort": [{"ret": {"order": "dsc"}}]})",
+                           R"({"sort": [{"ret": "descending"}]})",
+                           R"({"sort": [{"ret": {"order": 1}}]})",
+                           R"({"sort": [{"ret": 1}]})"}) {
+    auto request = SearchRequest::FromJsonText(body);
+    ASSERT_FALSE(request.ok()) << body;
+    EXPECT_NE(request.status().message().find("sort"), std::string::npos);
+    EXPECT_NE(request.status().message().find("ret"), std::string::npos);
+  }
+}
+
+TEST_F(StoreTest, SearchBodyRejectsFractionalSize) {
+  auto request = SearchRequest::FromJsonText(R"({"size": 2.5})");
+  ASSERT_FALSE(request.ok());
+  EXPECT_NE(request.status().message().find("size"), std::string::npos);
+  auto from = SearchRequest::FromJsonText(R"({"from": 0.5})");
+  ASSERT_FALSE(from.ok());
+  EXPECT_NE(from.status().message().find("from"), std::string::npos);
+  // An integral double is an integer.
+  auto integral = SearchRequest::FromJsonText(R"({"from": 3.0, "size": 2.0})");
+  ASSERT_TRUE(integral.ok()) << integral.status().message();
+  EXPECT_EQ(integral->from, 3u);
+  EXPECT_EQ(integral->size, 2u);
+}
+
+TEST_F(StoreTest, SearchBodyRejectsOutOfRangeCounts) {
+  for (const char* body : {R"({"from": 1e300})", R"({"from": -1e300})",
+                           R"({"from": "3"})"}) {
+    auto request = SearchRequest::FromJsonText(body);
+    ASSERT_FALSE(request.ok()) << body;
+    EXPECT_NE(request.status().message().find("from"), std::string::npos)
+        << body;
+  }
+  auto size = SearchRequest::FromJsonText(R"({"size": 1e19})");
+  ASSERT_FALSE(size.ok());
+  EXPECT_NE(size.status().message().find("size"), std::string::npos);
+}
+
 TEST_F(StoreTest, ConcurrentBulkAndSearch) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {

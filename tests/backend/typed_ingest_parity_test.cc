@@ -10,9 +10,11 @@
 
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "backend/correlation.h"
 #include "backend/simd_kernels.h"
 #include "backend/store.h"
 #include "backend/typed_ingest.h"
@@ -322,6 +324,55 @@ TEST(TypedIngestDocTest, MaterializedDocsMatchWireEventToJson) {
   for (int i = 0; i < 500; ++i) {
     EXPECT_EQ(MaterializeWireDoc(columns, static_cast<std::size_t>(i)).Dump(),
               expected[static_cast<std::size_t>(i)])
+        << "record " << i;
+  }
+}
+
+// The same contract for correlated rows: FilePathColumnWriter writes
+// file_path into the columns in place, and the rebuilt document must equal
+// the JSON route's document after FilePathUpdate — wire fields, then
+// file_path — while rows whose tag is unknown stay without it. Projected
+// builders (a search's source list) must equal the filtered document.
+TEST(TypedIngestDocTest, CorrelatedDocsMatchJsonRouteUpdate) {
+  Random rng(123);
+  ColumnSet columns;
+  WireColumnAppender appender(&columns);
+  std::vector<Json> expected;
+  auto table = std::make_shared<FilePathUpdate::Table>();
+  for (int i = 0; i < 500; ++i) {
+    const tracer::WireEvent e = RandomWire(rng, i);
+    appender.Append(e, "parity");
+    expected.push_back(tracer::WireEventToJson(e, "parity"));
+    // Half of the tag identities resolve.
+    if (e.tag_valid != 0 && e.tag_ino % 2 == 0) {
+      table->emplace(expected.back().GetString("file_tag"),
+                     "/data/db/file-" + std::to_string(e.tag_ino));
+    }
+  }
+  columns.FinishBatch();
+  const FilePathUpdate update{table};
+  FilePathColumnWriter writer(&columns, *table);
+  std::size_t updated = 0;
+  for (int i = 0; i < 500; ++i) {
+    const auto pos = static_cast<std::size_t>(i);
+    const bool typed_changed = writer.Apply(pos);
+    EXPECT_EQ(typed_changed, update(expected[pos])) << "record " << i;
+    updated += typed_changed ? 1 : 0;
+    // A second application is a no-op on both routes.
+    EXPECT_FALSE(writer.Apply(pos));
+  }
+  columns.FinishBatch();
+  EXPECT_GT(updated, 0u);
+  EXPECT_TRUE(writer.changed());
+  const std::vector<std::string> fields = {"ret", "file_path", "file_tag",
+                                           "no_such_field"};
+  const WireDocBuilder projected(columns, fields);
+  for (int i = 0; i < 500; ++i) {
+    const auto pos = static_cast<std::size_t>(i);
+    EXPECT_EQ(MaterializeWireDoc(columns, pos).Dump(), expected[pos].Dump())
+        << "record " << i;
+    EXPECT_EQ(projected.Build(pos).Dump(),
+              ProjectFields(expected[pos], fields).Dump())
         << "record " << i;
   }
 }

@@ -76,7 +76,7 @@ TEST(PipelineIntegrationTest, FluentBitDataLossDiagnosis) {
   auto lseeks = store.Search("flb-buggy", backend::SearchRequest{
       backend::Query::And({backend::Query::Term("syscall", Json("lseek")),
                            backend::Query::Term("comm", Json("fluent-bit"))}),
-      {{"time_enter", true}}, 0, 100});
+      {{"time_enter", true}}, 0, 100, {}});
   ASSERT_TRUE(lseeks.ok());
   ASSERT_EQ(lseeks->hits.size(), 1u);
   EXPECT_EQ(lseeks->hits[0].source.GetInt("file_offset"), 26);
