@@ -1,13 +1,13 @@
-// Ablation: columnar doc-values + parallel shard fan-out in the ElasticStore
-// query engine.
+// Ablation: parallel shard fan-out in the ElasticStore's columnar query
+// engine.
 //
 // The paper's analysis loop (§II-C) is an Elasticsearch dashboard: sorted
 // event searches, error counts, terms/date-histogram/percentiles panels, all
 // re-issued on every refresh. This harness indexes the same synthetic syscall
-// corpus into stores running the serial JSON engine (per-document Json::Find,
-// one sub-shard at a time — the parity oracle) and the columnar engine
-// (typed doc-value columns + cached filter bitmaps, optionally fanning
-// sub-shards out on a query pool), then times an analyst's query mix against
+// corpus (JSON documents, so the rows carry no typed-ingest shortcut) into
+// stores that differ only in backend.query_threads — typed doc-value columns
+// plus cached filter bitmaps, sub-shards evaluated on the calling thread or
+// fanned out on a query pool — then times an analyst's query mix against
 // each. Emits BENCH_ab_query_backend.json.
 #include <cstdint>
 #include <cstdio>
@@ -85,8 +85,8 @@ double MsSince(Nanos start) {
 }
 
 // One dashboard refresh: every panel re-issued once. `checksum` defends the
-// whole mix against dead-code elimination and doubles as a cross-engine
-// sanity check (all engines must report identical totals).
+// whole mix against dead-code elimination and doubles as a cross-config
+// sanity check (every thread count must report identical totals).
 MixTiming RunMix(const ElasticStore& store, std::size_t docs,
                  std::uint64_t* checksum) {
   MixTiming timing;
@@ -142,7 +142,6 @@ MixTiming RunMix(const ElasticStore& store, std::size_t docs,
 }
 
 struct EngineRun {
-  std::string engine;  // "json" | "columnar"
   std::size_t threads = 0;
   MixTiming timing;
   double build_ms = 0.0;       // Bulk + Refresh (includes column build)
@@ -150,16 +149,13 @@ struct EngineRun {
   std::uint64_t checksum = 0;
 };
 
-EngineRun RunEngine(const std::string& engine, std::size_t threads,
-                    std::size_t docs, int rounds) {
+EngineRun RunEngine(std::size_t threads, std::size_t docs, int rounds) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
-  options.doc_values = engine == "columnar";
   options.query_threads = threads;
   ElasticStore store(options);
 
   EngineRun run;
-  run.engine = engine;
   run.threads = threads;
 
   const Nanos build_start = SteadyClock::Instance()->NowNanos();
@@ -198,16 +194,11 @@ int main(int argc, char** argv) {
   if (argc > 1) docs = static_cast<std::size_t>(std::atoll(argv[1]));
   const int rounds = docs > 100'000 ? 3 : 5;
 
-  std::printf("ABLATION: ElasticStore query engine — serial JSON vs columnar "
-              "doc-values (%zu events, %d-round dashboard mix)\n\n",
+  std::printf("ABLATION: ElasticStore columnar query engine, per-shard "
+              "fan-out (%zu events, %d-round dashboard mix)\n\n",
               docs, rounds);
 
-  struct Config {
-    const char* engine;
-    std::size_t threads;
-  };
-  const Config configs[] = {
-      {"json", 0}, {"columnar", 0}, {"columnar", 2}, {"columnar", 4}};
+  const std::size_t thread_counts[] = {0, 2, 4};
 
   bench::BenchReport report("ab_query_backend");
   report.SetConfig("docs", Json(static_cast<std::int64_t>(docs)));
@@ -219,30 +210,23 @@ int main(int argc, char** argv) {
               "prefix", "scan", "mix_ms");
 
   std::vector<EngineRun> runs;
-  for (const Config& config : configs) {
-    runs.push_back(RunEngine(config.engine, config.threads, docs, rounds));
+  for (const std::size_t threads : thread_counts) {
+    runs.push_back(RunEngine(threads, docs, rounds));
     const EngineRun& run = runs.back();
     std::printf("%-10s %-8zu %-10.2f %-10.2f %-10.2f %-10.2f %-10.2f %-10.2f "
                 "%-10.2f\n",
-                run.engine.c_str(), run.threads, run.timing.search_ms,
+                "columnar", run.threads, run.timing.search_ms,
                 run.timing.count_ms, run.timing.terms_ms, run.timing.hist_ms,
                 run.timing.prefix_ms, run.timing.scan_ms,
                 run.timing.total_ms());
   }
 
-  const double baseline_ms = runs.front().timing.total_ms();
   bool checksums_agree = true;
-  double best_speedup = 0.0;
   for (const EngineRun& run : runs) {
     checksums_agree =
         checksums_agree && run.checksum == runs.front().checksum;
-    const double speedup =
-        run.timing.total_ms() > 0 ? baseline_ms / run.timing.total_ms() : 0.0;
-    if (run.engine == "columnar" && speedup > best_speedup) {
-      best_speedup = speedup;
-    }
     Json row = Json::MakeObject();
-    row.Set("engine", run.engine);
+    row.Set("engine", "columnar");
     row.Set("query_threads", static_cast<std::int64_t>(run.threads));
     row.Set("search_ms", run.timing.search_ms);
     row.Set("count_ms", run.timing.count_ms);
@@ -253,20 +237,16 @@ int main(int argc, char** argv) {
     row.Set("mix_ms", run.timing.total_ms());
     row.Set("build_ms", run.build_ms);
     row.Set("column_build_ms", run.column_build_ms);
-    row.Set("speedup_vs_json", speedup);
     row.Set("checksum", static_cast<std::int64_t>(run.checksum));
     report.AddRow(std::move(row));
   }
   report.Write();
 
-  std::printf("\ncolumnar best speedup over serial JSON engine: %.2fx "
-              "(dashboard mix, %zu events)\n",
-              best_speedup, docs);
-  std::printf("checksums (totals across all panels): %s\n",
-              checksums_agree ? "identical across engines" : "MISMATCH");
+  std::printf("\nchecksums (totals across all panels): %s\n",
+              checksums_agree ? "identical across thread counts"
+                              : "MISMATCH");
   std::printf("note: thread rows measure fan-out overhead too; on a "
-              "single-core host the win comes from the columnar scan, not "
-              "parallelism.\n");
+              "single-core host they cannot show a parallel speedup.\n");
   if (!checksums_agree) return 1;
   return 0;
 }

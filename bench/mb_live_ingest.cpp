@@ -5,15 +5,13 @@
 // open while the tracer is still shipping events, so every refresh races
 // with readers. This harness runs one ingest thread (BulkWire batches, a
 // Refresh after every batch) against two query threads looping the
-// dashboard mix, once with sealed segments and once with the legacy
-// rebuild-everything columnar mode (segment_docs=0, which also drops every
-// filter bitmap on each refresh). It reports the sustained ingest rate,
-// the reader-visible refresh-pause distribution, and the filter-cache
-// economy for each mode, then proves the fast path changed nothing: a
+// dashboard mix on a sealed-segment store. It reports the sustained ingest
+// rate, the reader-visible refresh-pause distribution, and the
+// filter-cache economy, then proves the caches changed nothing: a
 // deterministic post-run query replay must produce byte-identical digests
-// across the segmented store, the rebuild store, a cache-disabled twin
-// (backend.filter_cache_entries=0), and the JSON query engine
-// (backend.doc_values=false). Emits BENCH_mb_live_ingest.json.
+// on the segmented store and on a cache-disabled twin
+// (backend.filter_cache_entries=0) ingested without concurrent readers.
+// Emits BENCH_mb_live_ingest.json.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -319,8 +317,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "MACRO-BENCH: live typed ingest under %zu-thread dashboard query mix — "
-      "sealed segments vs rebuild-everything (%zu events, %zu-event bulks, "
-      "refresh per bulk, segment_docs=%zu)\n\n",
+      "sealed segments (%zu events, %zu-event bulks, refresh per bulk, "
+      "segment_docs=%zu)\n\n",
       kQueryThreads, events, batch_size, segment_docs);
 
   bench::BenchReport report("mb_live_ingest");
@@ -336,16 +334,8 @@ int main(int argc, char** argv) {
   segmented.shards_per_index = 4;
   segmented.segment_docs = segment_docs;
 
-  ElasticStoreOptions rebuild = segmented;
-  rebuild.segment_docs = 0;
-
   ElasticStoreOptions nocache = segmented;
   nocache.filter_cache_entries = 0;
-
-  ElasticStoreOptions json_engine;
-  json_engine.shards_per_index = 4;
-  json_engine.doc_values = false;
-  json_engine.typed_ingest = false;
 
   std::printf("%-10s %-10s %-12s %-14s %-10s %-10s %-10s %-9s %-9s %-8s\n",
               "mode", "load", "ingest_ms", "events_per_s", "query_ops",
@@ -358,9 +348,7 @@ int main(int argc, char** argv) {
     bool concurrent;
   } kModes[] = {
       {"segmented", segmented, true},
-      {"rebuild", rebuild, true},
       {"nocache", nocache, false},
-      {"json", json_engine, false},
   };
   for (const auto& spec : kModes) {
     runs.push_back(
@@ -377,9 +365,6 @@ int main(int argc, char** argv) {
   }
 
   const ModeRun& seg = runs[0];
-  const ModeRun& reb = runs[1];
-  const double speedup =
-      reb.events_per_sec > 0 ? seg.events_per_sec / reb.events_per_sec : 0.0;
 
   for (const ModeRun& run : runs) {
     Json row = Json::MakeObject();
@@ -395,15 +380,13 @@ int main(int argc, char** argv) {
     row.Set("replay_cache_hit_rate", run.replay_cache_hit_rate);
     row.Set("sealed_segments", static_cast<std::int64_t>(run.sealed_segments));
     row.Set("refreshes", static_cast<std::int64_t>(run.refreshes));
-    row.Set("speedup_vs_rebuild", run.mode == "segmented" ? speedup : 1.0);
     row.Set("digest", static_cast<std::int64_t>(run.digest));
     report.AddRow(std::move(row));
   }
   report.Write();
 
-  std::printf("\nsustained ingest, segmented vs rebuild-everything "
-              "(both under load): %.2fx (%.0f vs %.0f events/s)\n",
-              speedup, seg.events_per_sec, reb.events_per_sec);
+  std::printf("\nsustained ingest under load: %.0f events/s\n",
+              seg.events_per_sec);
 
   bool ok = true;
   for (const ModeRun& run : runs) {
@@ -415,13 +398,13 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::printf("replay digests: %s across segmented/rebuild/nocache/json\n",
+  std::printf("replay digests: %s across segmented/nocache\n",
               ok ? "identical" : "MISMATCH");
   if (seg.replay_cache_hit_rate <= 0.0) {
     std::printf("segmented replay produced no filter-cache hits\n");
     ok = false;
   }
-  if (runs[2].replay_cache_hit_rate != 0.0) {
+  if (runs[1].replay_cache_hit_rate != 0.0) {
     std::printf("cache-disabled twin somehow hit its filter cache\n");
     ok = false;
   }

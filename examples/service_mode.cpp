@@ -16,16 +16,20 @@ int main() {
   os::Kernel kernel;
   (void)kernel.MountDevice("/data", 7340032, {});
   // The shared, dedicated analysis pipeline. The [backend] section tunes the
-  // query engine: columnar doc-values with a two-thread per-shard fan-out
-  // and the ES-style paging guard.
+  // query engine: a two-thread per-shard fan-out and the ES-style paging
+  // guard.
   auto config = Config::ParseString(
       "[backend]\n"
       "shards_per_index = 4\n"
       "query_threads = 2\n"
-      "doc_values = true\n"
       "max_result_window = 10000\n");
-  backend::ElasticStore store(
-      backend::ElasticStoreOptions::FromConfig(*config));
+  auto store_options = backend::ElasticStoreOptions::FromConfig(*config);
+  if (!store_options.ok()) {
+    std::fprintf(stderr, "bad [backend] config: %s\n",
+                 store_options.status().message().c_str());
+    return 1;
+  }
+  backend::ElasticStore store(*store_options);
   service::DioService service(&kernel, &store);
 
   // Alice traces everything; Bob only data syscalls on his directory.

@@ -302,10 +302,6 @@ CompiledQuery::Node CompiledQuery::Compile(const Query& query,
   return node;
 }
 
-bool CompiledQuery::Matches(std::size_t pos, const Json& doc) const {
-  return MatchesNode(root_, pos, doc);
-}
-
 bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
                                 const Json& doc) {
   const Query& query = *node.query;
@@ -318,7 +314,7 @@ bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
       const ValueKind kind = node.col->kind(pos);
       if (kind == ValueKind::kMissing) return false;
       if (kind == ValueKind::kOther) {
-        // Non-scalar value: defer to the JSON oracle's equality.
+        // Non-scalar value: defer to Query::Matches' JSON equality.
         const Json* value = doc.Find(query.field());
         if (value == nullptr) return false;
         for (const TermValue& tv : node.values) {
@@ -419,7 +415,7 @@ FilterBitmap CompiledQuery::EvalNode(const Node& node,
     }
     case Query::Type::kOr: {
       // An empty bool.should matches everything, mirroring Query::Matches
-      // (the scan path replicates the oracle, inconsistencies included).
+      // (the columns replicate the JSON semantics, inconsistencies included).
       if (node.children.empty()) return FilterBitmap(n, true);
       FilterBitmap out(n, false);
       for (const Node& child : node.children) {

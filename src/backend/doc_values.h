@@ -1,25 +1,24 @@
 // Columnar doc-values for the ElasticStore query engine.
 //
-// At Refresh each SubShard materializes, next to its row-oriented `Json`
-// documents, one typed column per field (Lucene doc-values shape): a kind
-// byte per document slot plus parallel int64/double arrays and a string
-// dictionary with lexicographic ranks. Query evaluation, sorting, and
-// aggregation then read flat arrays instead of calling `Json::Find` per
-// document per field — the difference between dashboard-rate analytics and
-// a per-document tree walk.
+// At Refresh each segment of a SubShard appends its new rows to one typed
+// column per field (Lucene doc-values shape): a kind byte per document slot
+// plus parallel int64/double arrays and a string dictionary with
+// lexicographic ranks. Query evaluation, sorting, and aggregation then read
+// flat arrays instead of calling `Json::Find` per document per field — the
+// difference between dashboard-rate analytics and a per-document tree walk.
 //
 // Three pieces live here:
-//   * ColumnSet / DocValueColumn — the per-sub-shard column storage,
-//     append-only in docid order (rebuilt wholesale after update-by-query).
+//   * ColumnSet / DocValueColumn — one segment's column storage, append-only
+//     in docid order (update-by-query rewrites single rows in place).
 //   * CompiledQuery — a Query tree resolved against one ColumnSet: column
 //     pointers looked up once, string terms translated to dictionary
-//     ordinals, prefix predicates to rank ranges. `Matches(pos)` is the
-//     column-aware replica of `Query::Matches(doc)` and must agree with it
-//     bit-for-bit (the serial JSON engine stays the parity oracle).
-//   * FilterBitmap / FilterBitmapCache — dense per-shard match bitmaps for
-//     scan-path predicates (exists / must_not / bool trees with no indexable
-//     clause), cached per query text and invalidated on every visibility
-//     change, in the spirit of Lucene's cached filter bitsets.
+//     ordinals, prefix predicates to rank ranges. `Eval` is the
+//     column-aware replica of `Query::Matches(doc)` over every slot and
+//     must agree with it bit-for-bit (the tests' JSON reference).
+//   * FilterBitmap / FilterBitmapCache — dense per-segment match bitmaps
+//     for leaf predicates, cached per query text and invalidated when the
+//     segment's rows change, in the spirit of Lucene's cached filter
+//     bitsets.
 #pragma once
 
 #include <bit>
@@ -175,7 +174,7 @@ class FilterBitmap {
   std::vector<std::uint64_t> words_;
 };
 
-// Per-segment cache of scan-path predicate bitmaps, keyed by the
+// Per-segment cache of leaf-predicate bitmaps, keyed by the
 // predicate's ToString form. A cached bitmap covers exactly the rows of the
 // segment it belongs to, so it stays valid for as long as those rows do:
 // sealed segments keep their entries across refreshes, the growing tail's
@@ -225,14 +224,10 @@ class CompiledQuery {
  public:
   CompiledQuery(const Query& query, const ColumnSet& columns);
 
-  // Column-aware replica of query.Matches(doc): reads the columns for every
-  // scalar value and falls back to `doc` only for kOther slots. Must return
-  // exactly what the JSON oracle returns.
-  [[nodiscard]] bool Matches(std::size_t pos, const Json& doc) const;
-
-  // Scan-path evaluation: the match bitmap over all `docs` slots, built
-  // from cached per-predicate bitmaps where possible. Equivalent to calling
-  // Matches(pos, docs[pos]) for every slot.
+  // The match bitmap over all `docs` slots, built from cached per-predicate
+  // bitmaps where possible. Reads the columns for every scalar value and
+  // falls back to `docs[pos]` only for kOther slots; slot for slot it
+  // returns exactly what query.Matches(docs[pos]) returns.
   [[nodiscard]] FilterBitmap Eval(std::span<const Json> docs,
                                   FilterBitmapCache* cache) const;
 

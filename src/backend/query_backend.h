@@ -69,6 +69,14 @@ struct SearchRequest {
 // empty list, or a document that is not an object, returns it unchanged.
 Json ProjectFields(const Json& doc, std::span<const std::string> fields);
 
+// The sort order every backend honors, over whole JSON documents: per spec,
+// a document missing the field sorts last in either direction; two numbers
+// or two strings compare by value; any other pair ties and falls through to
+// the next spec. Returns false on a full tie — callers break ties by docid
+// (or, equivalently, stable-sort input that ascends by docid).
+bool JsonSortBefore(std::span<const SortSpec> specs, const Json& a,
+                    const Json& b);
+
 struct SearchResult {
   std::vector<Hit> hits;
   std::size_t total = 0;  // matches before from/size paging
@@ -89,8 +97,8 @@ struct IndexStats {
   std::uint64_t filter_cache_evictions = 0;
   // Sealed-segment layout: total and sealed column blocks across sub-shards,
   // completed refreshes, and the exclusive-window duration of each recent
-  // refresh (the pause concurrent queries can observe; bounded by tail
-  // size when backend.segment_docs > 0).
+  // refresh (the pause concurrent queries can observe; bounded by the
+  // refreshed row count, not by index size).
   std::size_t segments = 0;
   std::size_t sealed_segments = 0;
   std::uint64_t refreshes = 0;

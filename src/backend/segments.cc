@@ -46,26 +46,6 @@ std::uint64_t SegmentedColumns::cache_evictions() const {
   return total;
 }
 
-ColumnSegment& SegmentedColumns::EnsureTail() {
-  if (segments_.empty() || segments_.back()->sealed ||
-      (segment_docs_ != 0 && segments_.back()->rows() >= segment_docs_)) {
-    segments_.push_back(
-        std::make_shared<ColumnSegment>(num_rows_, cache_entries_));
-  }
-  return *segments_.back();
-}
-
-void SegmentedColumns::NoteInPlaceGrowth() {
-  num_rows_ = segments_.empty() ? 0 : segments_.back()->end();
-  ++generation_;
-}
-
-void SegmentedColumns::Clear() {
-  segments_.clear();
-  num_rows_ = 0;
-  ++generation_;
-}
-
 // ---- StagedSegmentBuild -----------------------------------------------------
 
 StagedSegmentBuild::StagedSegmentBuild(const SegmentedColumns& base)
@@ -88,10 +68,7 @@ StagedSegmentBuild::StagedSegmentBuild(const SegmentedColumns& base)
 
 bool StagedSegmentBuild::PrepareRow() {
   ++staged_rows_;
-  if (tail_ != nullptr &&
-      (segment_docs_ == 0 || tail_->rows() < segment_docs_)) {
-    return false;
-  }
+  if (tail_ != nullptr && tail_->rows() < segment_docs_) return false;
   if (tail_ != nullptr) tail_->sealed = true;
   const std::size_t base =
       tail_ == nullptr ? next_base_ : tail_->base + tail_->rows();
@@ -106,7 +83,7 @@ void StagedSegmentBuild::Finish() {
     // A block that filled to the brim this refresh is sealed immediately so
     // the very next refresh opens a new tail and this block's cache starts
     // accumulating reusable bitmaps.
-    if (segment_docs_ != 0 && staged_[i]->rows() >= segment_docs_) {
+    if (staged_[i]->rows() >= segment_docs_) {
       staged_[i]->sealed = true;
     }
   }

@@ -6,11 +6,8 @@
 // `segment_docs` rows — and the staged list is swapped in under the store's
 // brief exclusive window. Because sealed segments never change, their
 // cached filter bitmaps and string-dictionary ranks survive refreshes; a
-// visibility change invalidates only the tail.
-//
-// `segment_docs == 0` is the legacy rebuild-everything mode: one segment
-// that grows in place under the exclusive lock and drops its cache on every
-// refresh. It stays as the bench baseline and the sim's parity oracle.
+// visibility change invalidates only the tail. `segment_docs` is at least
+// 1; SIZE_MAX keeps every row in one tail that never seals.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +46,8 @@ struct ColumnSegment {
 
 // The ordered segment list of one sub-shard. Readers walk `segments()`
 // under the store's shared refresh lock; every mutation happens under the
-// exclusive lock (swap-in of a staged build, legacy in-place growth,
-// update-by-query row rewrites).
+// exclusive lock (swap-in of a staged build, update-by-query row
+// rewrites).
 class SegmentedColumns {
  public:
   SegmentedColumns(std::size_t segment_docs, std::size_t cache_entries)
@@ -70,10 +67,10 @@ class SegmentedColumns {
   // Segment lookup for a shard-local row position. Sealed segments hold
   // exactly segment_docs rows, so this is pure arithmetic.
   [[nodiscard]] std::size_t SegmentIndexFor(std::size_t pos) const {
-    return segment_docs_ == 0 ? 0 : pos / segment_docs_;
+    return pos / segment_docs_;
   }
   [[nodiscard]] std::size_t LocalPos(std::size_t pos) const {
-    return segment_docs_ == 0 ? pos : pos % segment_docs_;
+    return pos % segment_docs_;
   }
   [[nodiscard]] ColumnSegment& SegmentFor(std::size_t pos) const {
     return *segments_[SegmentIndexFor(pos)];
@@ -84,15 +81,6 @@ class SegmentedColumns {
   [[nodiscard]] std::uint64_t cache_hits() const;
   [[nodiscard]] std::uint64_t cache_misses() const;
   [[nodiscard]] std::uint64_t cache_evictions() const;
-
-  // Legacy in-place growth (segment_docs == 0) and update-by-query both
-  // mutate under the store's exclusive lock: EnsureTail returns the single
-  // growing segment (created on demand); NoteInPlaceGrowth republishes the
-  // row count and bumps the generation after the caller appended rows.
-  ColumnSegment& EnsureTail();
-  void NoteInPlaceGrowth();
-
-  void Clear();
 
  private:
   friend class StagedSegmentBuild;

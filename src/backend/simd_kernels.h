@@ -11,7 +11,7 @@
 // (CompiledQuery::MatchesNode / Aggregation::ExecuteColumnar), so routing a
 // predicate through a kernel can never change a query result — only its
 // cost. `backend.simd_kernels=false` keeps the original scalar loops as the
-// parity/debug fallback (same trick as `backend.doc_values=false`).
+// parity/debug fallback.
 #pragma once
 
 #include <atomic>

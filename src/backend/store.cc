@@ -1,13 +1,13 @@
 #include "backend/store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <thread>
+#include <tuple>
 
 #include "backend/correlation.h"
 #include "backend/simd_kernels.h"
@@ -18,133 +18,42 @@ namespace dio::backend {
 
 namespace {
 
-// A search body's `from` / `size`: a non-negative integer. A double counts
-// only when it is integral and at most 2^53, so the conversion is exact and
-// can never overflow.
-Expected<std::size_t> ParseResultCount(const std::string& key,
-                                       const Json& value) {
-  if (value.is_int()) {
-    if (value.as_int() >= 0) return static_cast<std::size_t>(value.as_int());
-  } else if (value.is_double()) {
-    const double d = value.as_double();
-    if (d >= 0.0 && d == std::floor(d)) {
-      if (d > 9007199254740992.0) {
-        return InvalidArgument(key + " is out of range");
-      }
-      return static_cast<std::size_t>(d);
-    }
+// One integer `[backend]` key, rejected below `min` with an error naming it.
+Expected<std::size_t> GetCount(const Config& config, const std::string& key,
+                               std::size_t fallback, std::int64_t min) {
+  const std::int64_t value =
+      config.GetInt(key, static_cast<std::int64_t>(fallback));
+  if (value < min) {
+    return InvalidArgument(key + " must be >= " + std::to_string(min) +
+                           " (got " + std::to_string(value) + ")");
   }
-  return InvalidArgument(key + " must be a non-negative integer");
-}
-
-// One sort spec: "field", {"field": "asc"|"desc"} (ES shorthand) or
-// {"field": {"order": "asc"|"desc"}}; the order defaults to ascending.
-Expected<SortSpec> ParseSortSpec(const Json& spec) {
-  if (spec.is_string()) return SortSpec{spec.as_string(), true};
-  if (!spec.is_object() || spec.as_object().size() != 1) {
-    return InvalidArgument(
-        "sort: each spec must be a field name or a one-field object");
-  }
-  const auto& [field, opts] = spec.as_object().front();
-  const Json* order = &opts;
-  if (opts.is_object()) {
-    order = opts.Find("order");
-    if (order == nullptr) return SortSpec{field, true};
-  }
-  if (!order->is_string() ||
-      (order->as_string() != "asc" && order->as_string() != "desc")) {
-    return InvalidArgument("sort: order of '" + field +
-                           "' must be \"asc\" or \"desc\"");
-  }
-  return SortSpec{field, order->as_string() == "asc"};
+  return static_cast<std::size_t>(value);
 }
 
 }  // namespace
 
-Expected<SearchRequest> SearchRequest::FromJson(const Json& body,
-                                                std::size_t max_result_window) {
-  if (!body.is_object()) {
-    return InvalidArgument("search body must be an object");
-  }
-  SearchRequest request;
-  for (const JsonMember& member : body.as_object()) {
-    const std::string& key = member.first;
-    const Json& value = member.second;
-    if (key == "query") {
-      auto query = Query::FromJson(value);
-      if (!query.ok()) return query.status();
-      request.query = std::move(query.value());
-    } else if (key == "sort") {
-      if (!value.is_array()) {
-        return InvalidArgument("sort must be an array");
-      }
-      for (const Json& spec : value.as_array()) {
-        auto parsed = ParseSortSpec(spec);
-        if (!parsed.ok()) return parsed.status();
-        request.sort.push_back(std::move(*parsed));
-      }
-    } else if (key == "from" || key == "size") {
-      auto count = ParseResultCount(key, value);
-      if (!count.ok()) return count.status();
-      (key == "from" ? request.from : request.size) = *count;
-    } else {
-      return InvalidArgument("unknown search body key: " + key);
-    }
-  }
-  if (request.size > max_result_window ||
-      request.from > max_result_window - request.size) {
-    return InvalidArgument(
-        "from + size must be <= max_result_window (" +
-        std::to_string(max_result_window) + ")");
-  }
-  return request;
-}
-
-Expected<SearchRequest> SearchRequest::FromJsonText(
-    std::string_view text, std::size_t max_result_window) {
-  auto parsed = Json::Parse(text);
-  if (!parsed.ok()) return parsed.status();
-  return FromJson(*parsed, max_result_window);
-}
-
-Json ProjectFields(const Json& doc, std::span<const std::string> fields) {
-  if (fields.empty() || !doc.is_object()) return doc;
-  JsonObject members;
-  for (const JsonMember& member : doc.as_object()) {
-    if (std::find(fields.begin(), fields.end(), member.first) !=
-        fields.end()) {
-      members.push_back(member);
-    }
-  }
-  return Json(std::move(members));
-}
-
-ElasticStoreOptions ElasticStoreOptions::FromConfig(const Config& config) {
+Expected<ElasticStoreOptions> ElasticStoreOptions::FromConfig(
+    const Config& config) {
   WarnUnknownKeys(config, "backend",
-                  {"shards_per_index", "query_threads", "doc_values",
-                   "typed_ingest", "simd_kernels", "max_result_window",
-                   "segment_docs", "filter_cache_entries"});
+                  {"shards_per_index", "query_threads", "typed_ingest",
+                   "simd_kernels", "max_result_window", "segment_docs",
+                   "filter_cache_entries"});
   ElasticStoreOptions opts;
-  opts.shards_per_index = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, config.GetInt("backend.shards_per_index",
-                       static_cast<std::int64_t>(opts.shards_per_index))));
-  opts.query_threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config.GetInt("backend.query_threads",
-                       static_cast<std::int64_t>(opts.query_threads))));
-  opts.doc_values = config.GetBool("backend.doc_values", opts.doc_values);
+  for (auto [key, field, min] :
+       {std::tuple{"backend.shards_per_index", &opts.shards_per_index, 1},
+        std::tuple{"backend.query_threads", &opts.query_threads, 0},
+        std::tuple{"backend.max_result_window", &opts.max_result_window, 1},
+        std::tuple{"backend.segment_docs", &opts.segment_docs, 1},
+        std::tuple{"backend.filter_cache_entries", &opts.filter_cache_entries,
+                   0}}) {
+    auto value = GetCount(config, key, *field, min);
+    if (!value.ok()) return value.status();
+    *field = *value;
+  }
   opts.typed_ingest =
       config.GetBool("backend.typed_ingest", opts.typed_ingest);
   opts.simd_kernels =
       config.GetBool("backend.simd_kernels", opts.simd_kernels);
-  opts.max_result_window = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, config.GetInt("backend.max_result_window",
-                       static_cast<std::int64_t>(opts.max_result_window))));
-  opts.segment_docs = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config.GetInt("backend.segment_docs",
-                       static_cast<std::int64_t>(opts.segment_docs))));
-  opts.filter_cache_entries = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config.GetInt("backend.filter_cache_entries",
-                       static_cast<std::int64_t>(opts.filter_cache_entries))));
   return opts;
 }
 
@@ -204,6 +113,7 @@ ElasticStore::ElasticStore(const ElasticStoreOptions& options)
     : options_([&options] {
         ElasticStoreOptions opts = options;
         opts.shards_per_index = std::max<std::size_t>(1, opts.shards_per_index);
+        opts.segment_docs = std::max<std::size_t>(1, opts.segment_docs);
         return opts;
       }()) {
   if (options_.query_threads > 0) {
@@ -293,7 +203,7 @@ void ElasticStore::Bulk(const std::string& index_name,
 void ElasticStore::BulkWire(const std::string& index_name,
                             std::string_view session,
                             std::vector<tracer::WireEvent> records) {
-  if (!options_.typed_ingest || !options_.doc_values) {
+  if (!options_.typed_ingest) {
     // Parity fallback: same documents, same docids, same everything — the
     // typed route only changes how the fields reach the columns.
     std::vector<Json> documents;
@@ -312,46 +222,6 @@ void ElasticStore::BulkWire(const std::string& index_name,
   std::scoped_lock lock(lane.mu);
   lane.batches.push_back(
       PendingBatch{seq, {}, std::move(records), std::string(session)});
-}
-
-std::string ElasticStore::TermKey(const Json& value) {
-  switch (value.type()) {
-    case Json::Type::kString: return "s:" + value.as_string();
-    case Json::Type::kInt: return "i:" + std::to_string(value.as_int());
-    case Json::Type::kDouble: {
-      // Integral doubles share the int key so term queries match across
-      // numeric types (like ES numeric coercion).
-      const double d = value.as_double();
-      const auto i = static_cast<std::int64_t>(d);
-      if (static_cast<double>(i) == d) return "i:" + std::to_string(i);
-      return "d:" + std::to_string(d);
-    }
-    case Json::Type::kBool: return value.as_bool() ? "b:1" : "b:0";
-    default: return "j:" + value.Dump();
-  }
-}
-
-void ElasticStore::IndexDoc(SubShard& shard, DocId id, const Json& doc) {
-  if (!doc.is_object()) return;
-  for (const JsonMember& member : doc.as_object()) {
-    const std::string& field = member.first;
-    const Json& value = member.second;
-    if (value.is_array() || value.is_object() || value.is_null()) continue;
-    auto& postings = shard.terms[field][TermKey(value)];
-    if (postings.empty() || postings.back() != id) postings.push_back(id);
-    if (value.is_number()) {
-      shard.numerics[field].emplace_back(value.as_int(), id);
-      shard.numerics_dirty = true;
-    }
-  }
-}
-
-void ElasticStore::SortNumericsIfDirty(SubShard& shard) {
-  if (!shard.numerics_dirty) return;
-  for (auto& [field, entries] : shard.numerics) {
-    std::sort(entries.begin(), entries.end());
-  }
-  shard.numerics_dirty = false;
 }
 
 void ElasticStore::Refresh(const std::string& index_name) {
@@ -381,7 +251,6 @@ void ElasticStore::Refresh(const std::string& index_name) {
   // batch's wire records plus its session label. Reading next_docid without
   // refresh_mu is safe: only refreshes advance it, and they hold ingest_mu.
   struct StagedRow {
-    DocId id = 0;
     Json doc;
     const tracer::WireEvent* wire = nullptr;
     const std::string* session = nullptr;
@@ -396,14 +265,12 @@ void ElasticStore::Refresh(const std::string& index_name) {
   std::uint64_t next_docid = index->next_docid;
   for (PendingBatch& batch : batches) {
     for (Json& doc : batch.docs) {
-      const DocId id = next_docid++;
-      staged[static_cast<std::size_t>(id) % num_shards].push_back(
-          StagedRow{id, std::move(doc), nullptr, nullptr});
+      staged[static_cast<std::size_t>(next_docid++ % num_shards)].push_back(
+          StagedRow{std::move(doc), nullptr, nullptr});
     }
     for (const tracer::WireEvent& record : batch.wire) {
-      const DocId id = next_docid++;
-      staged[static_cast<std::size_t>(id) % num_shards].push_back(
-          StagedRow{id, Json(), &record, &batch.session});
+      staged[static_cast<std::size_t>(next_docid++ % num_shards)].push_back(
+          StagedRow{Json(), &record, &batch.session});
     }
   }
 
@@ -422,91 +289,53 @@ void ElasticStore::Refresh(const std::string& index_name) {
     }
   };
 
-  // Phase 1 (segmented mode): build the new rows' columns entirely
-  // off-lock. Queries keep running against the live segment lists the whole
-  // time — sealed segments are adopted by pointer, the growing tail is
-  // cloned and appended into, blocks seal at segment_docs. Nothing mutates
-  // the base lists underneath us: every mutator holds ingest_mu.
-  const bool segmented = options_.doc_values && options_.segment_docs != 0;
+  // Phase 1: build the new rows' columns entirely off-lock. Queries keep
+  // running against the live segment lists the whole time — sealed segments
+  // are adopted by pointer, the growing tail is cloned and appended into,
+  // blocks seal at segment_docs. Nothing mutates the base lists underneath
+  // us: every mutator holds ingest_mu.
   std::vector<std::unique_ptr<StagedSegmentBuild>> builds(num_shards);
-  if (segmented) {
-    const Nanos start = SteadyClock::Instance()->NowNanos();
-    per_shard([&index, &staged, &builds](std::size_t s) {
-      if (staged[s].empty()) return;
-      auto build =
-          std::make_unique<StagedSegmentBuild>(index->shards[s]->segments);
-      std::optional<WireColumnAppender> appender;
-      for (const StagedRow& row : staged[s]) {
-        // A sealed block means a fresh tail ColumnSet: re-bind the appender
-        // (it caches column pointers into one set).
-        if (build->PrepareRow()) appender.reset();
-        if (row.wire != nullptr) {
-          if (!appender.has_value()) appender.emplace(&build->tail());
-          appender->Append(*row.wire, *row.session);
-        } else {
-          build->tail().AppendDoc(row.doc);
-        }
+  const Nanos start = SteadyClock::Instance()->NowNanos();
+  per_shard([&index, &staged, &builds](std::size_t s) {
+    if (staged[s].empty()) return;
+    auto build =
+        std::make_unique<StagedSegmentBuild>(index->shards[s]->segments);
+    std::optional<WireColumnAppender> appender;
+    for (const StagedRow& row : staged[s]) {
+      // A sealed block means a fresh tail ColumnSet: re-bind the appender
+      // (it caches column pointers into one set).
+      if (build->PrepareRow()) appender.reset();
+      if (row.wire != nullptr) {
+        if (!appender.has_value()) appender.emplace(&build->tail());
+        appender->Append(*row.wire, *row.session);
+      } else {
+        build->tail().AppendDoc(row.doc);
       }
-      build->Finish();
-      builds[s] = std::move(build);
-    });
-    index->column_build_ns.fetch_add(
-        static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() -
-                                   start),
-        std::memory_order_relaxed);
-  }
+    }
+    build->Finish();
+    builds[s] = std::move(build);
+  });
+  index->column_build_ns.fetch_add(
+      static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() - start),
+      std::memory_order_relaxed);
 
-  // Phase 2: the exclusive window — append the row store, index JSON rows'
-  // postings, swap the staged segment lists in, publish the docids. In
-  // segmented mode the column work already happened, so this pause is
-  // bounded by the staged row count, never by index size.
+  // Phase 2: the exclusive window — append the row store, swap the staged
+  // segment lists in, publish the docids. The column work already happened,
+  // so this pause is bounded by the staged row count, never by index size.
   std::unique_lock refresh_lock = index->LockForMutation();
   const Nanos pause_start = SteadyClock::Instance()->NowNanos();
-  per_shard([this, &index, &staged, &builds, segmented](std::size_t s) {
+  per_shard([&index, &staged, &builds](std::size_t s) {
     SubShard& shard = *index->shards[s];
     std::unique_lock shard_lock(shard.mu);
-    const bool legacy_columns = options_.doc_values && !segmented;
-    const Nanos start = SteadyClock::Instance()->NowNanos();
-    std::optional<WireColumnAppender> appender;
     for (StagedRow& row : staged[s]) {
-      if (row.wire != nullptr) {
-        // Typed rows get a null placeholder document and skip the
-        // term/numeric indexes entirely — that skip is the bulk of the
-        // typed route's win, paid for by forcing the scan path while the
-        // shard holds typed rows.
-        shard.docs.emplace_back();
-        shard.typed.push_back(1);
-        ++shard.typed_rows;
-        if (legacy_columns) {
-          if (!appender.has_value()) {
-            appender.emplace(&shard.segments.EnsureTail().columns);
-          }
-          appender->Append(*row.wire, *row.session);
-        }
-      } else {
-        shard.docs.push_back(std::move(row.doc));
-        shard.typed.push_back(0);
-        IndexDoc(shard, row.id, shard.docs.back());
-        if (legacy_columns) {
-          shard.segments.EnsureTail().columns.AppendDoc(shard.docs.back());
-        }
-      }
+      // A typed row's fields live only in the columns; its document slot
+      // holds a null placeholder.
+      const bool typed = row.wire != nullptr;
+      shard.docs.push_back(std::move(row.doc));
+      shard.typed.push_back(typed ? 1 : 0);
+      if (typed) ++shard.typed_rows;
     }
-    SortNumericsIfDirty(shard);
-    if (segmented) {
-      if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
-    } else if (legacy_columns && !staged[s].empty()) {
-      // Rebuild-everything mode: one block, grown in place under the lock,
-      // every cached bitmap stale.
-      ColumnSegment& tail = shard.segments.EnsureTail();
-      tail.columns.FinishBatch();
-      tail.cache.Clear();
-      shard.segments.NoteInPlaceGrowth();
-      index->column_build_ns.fetch_add(
-          static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() -
-                                     start),
-          std::memory_order_relaxed);
-    }
+    if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
   });
   index->next_docid = next_docid;
   index->refreshes.fetch_add(1, std::memory_order_relaxed);
@@ -527,176 +356,23 @@ void ElasticStore::RefreshAll() {
   for (const std::string& name : ListIndices()) Refresh(name);
 }
 
-namespace {
-
-std::vector<DocId> Intersect(std::vector<DocId> a, std::vector<DocId> b) {
-  std::vector<DocId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<DocId> Union(std::vector<DocId> a, std::vector<DocId> b) {
-  std::vector<DocId> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-std::vector<DocId> Dedup(std::vector<DocId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-}  // namespace
-
-std::optional<std::vector<DocId>> ElasticStore::Candidates(
-    const SubShard& shard, const Query& query) {
-  switch (query.type()) {
-    case Query::Type::kTerm:
-    case Query::Type::kTerms: {
-      auto field_it = shard.terms.find(query.field());
-      if (field_it == shard.terms.end()) return std::vector<DocId>{};
-      std::vector<DocId> out;
-      for (const Json& value : query.values()) {
-        auto term_it = field_it->second.find(TermKey(value));
-        if (term_it != field_it->second.end()) {
-          out = Union(std::move(out), term_it->second);
-        }
-      }
-      return Dedup(std::move(out));
-    }
-    case Query::Type::kRange: {
-      if (shard.numerics_dirty) return std::nullopt;  // pending resort
-      auto field_it = shard.numerics.find(query.field());
-      if (field_it == shard.numerics.end()) return std::vector<DocId>{};
-      const auto& entries = field_it->second;
-      auto lo = entries.begin();
-      auto hi = entries.end();
-      if (query.gte().has_value()) {
-        lo = std::lower_bound(
-            entries.begin(), entries.end(),
-            std::make_pair(*query.gte(), std::numeric_limits<DocId>::min()));
-      }
-      if (query.lte().has_value()) {
-        hi = std::upper_bound(
-            entries.begin(), entries.end(),
-            std::make_pair(*query.lte(), std::numeric_limits<DocId>::max()));
-      }
-      std::vector<DocId> out;
-      out.reserve(static_cast<std::size_t>(std::distance(lo, hi)));
-      for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-      return Dedup(std::move(out));
-    }
-    case Query::Type::kPrefix: {
-      auto field_it = shard.terms.find(query.field());
-      if (field_it == shard.terms.end()) return std::vector<DocId>{};
-      // Term keys are sorted, so the matching "s:<prefix>…" terms are one
-      // contiguous range starting at lower_bound.
-      const std::string key_prefix = "s:" + query.prefix();
-      std::vector<DocId> out;
-      for (auto it = field_it->second.lower_bound(key_prefix);
-           it != field_it->second.end() && it->first.starts_with(key_prefix);
-           ++it) {
-        out = Union(std::move(out), it->second);
-      }
-      return Dedup(std::move(out));
-    }
-    case Query::Type::kAnd: {
-      std::optional<std::vector<DocId>> narrowed;
-      for (const Query& clause : query.clauses()) {
-        auto candidates = Candidates(shard, clause);
-        if (!candidates.has_value()) continue;  // clause needs a scan
-        narrowed = narrowed.has_value()
-                       ? Intersect(std::move(*narrowed),
-                                   std::move(*candidates))
-                       : std::move(*candidates);
-      }
-      return narrowed;  // nullopt if no clause was indexable
-    }
-    case Query::Type::kOr: {
-      std::vector<DocId> out;
-      for (const Query& clause : query.clauses()) {
-        auto candidates = Candidates(shard, clause);
-        if (!candidates.has_value()) return std::nullopt;  // must scan
-        out = Union(std::move(out), std::move(*candidates));
-      }
-      return out;
-    }
-    case Query::Type::kMatchAll:
-    case Query::Type::kExists:
-    case Query::Type::kNot:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-std::vector<DocId> ElasticStore::MatchingDocs(const SubShard& shard,
-                                              const Query& query) {
+std::vector<DocId> ElasticStore::ScanShard(const SubShard& shard,
+                                           const Query& query) {
+  // One segment at a time against that segment's bitmap cache: sealed
+  // segments answer repeated predicates from cache, so after a refresh only
+  // the tail is actually re-evaluated.
   std::vector<DocId> matches;
-  auto candidates = Candidates(shard, query);
-  if (candidates.has_value()) {
-    for (DocId id : *candidates) {
-      if (shard.Owns(id) && query.Matches(shard.DocAt(id))) {
-        matches.push_back(id);
-      }
-    }
-  } else {
-    for (std::size_t pos = 0; pos < shard.docs.size(); ++pos) {
-      if (query.Matches(shard.docs[pos])) {
-        matches.push_back(static_cast<DocId>(pos * shard.stride +
-                                             shard.shard_index));
-      }
-    }
-  }
-  return matches;
-}
-
-std::vector<DocId> ElasticStore::MatchingDocsColumnar(const SubShard& shard,
-                                                      const Query& query) {
-  std::vector<DocId> matches;
-  const SegmentedColumns& segments = shard.segments;
-  // Typed rows have no postings/numerics entries, so while the shard holds
-  // any, the candidate lists are incomplete — go straight to the scan path
-  // (the compiled bitmaps read the columns, which do cover typed rows).
-  auto candidates = shard.typed_rows == 0
-                        ? Candidates(shard, query)
-                        : std::optional<std::vector<DocId>>();
-  if (candidates.has_value()) {
-    // Candidates ascend, so the owning segment index is nondecreasing and
-    // one compiled query per touched segment suffices (term ordinals and
-    // prefix rank ranges resolve against that segment's dictionaries).
-    std::optional<CompiledQuery> compiled;
-    std::size_t current = std::numeric_limits<std::size_t>::max();
-    for (DocId id : *candidates) {
-      if (!shard.Owns(id)) continue;
-      const std::size_t pos = static_cast<std::size_t>(id) / shard.stride;
-      const std::size_t seg = segments.SegmentIndexFor(pos);
-      if (seg != current) {
-        compiled.emplace(query, segments.segments()[seg]->columns);
-        current = seg;
-      }
-      if (compiled->Matches(segments.LocalPos(pos), shard.docs[pos])) {
-        matches.push_back(id);
-      }
-    }
-  } else {
-    // Scan path, one segment at a time against that segment's bitmap
-    // cache: sealed segments answer repeated predicates from cache, so
-    // after a refresh only the tail is actually re-evaluated.
-    for (const auto& segment : segments.segments()) {
-      const CompiledQuery compiled(query, segment->columns);
-      const FilterBitmap bitmap = compiled.Eval(
-          std::span<const Json>(shard.docs.data() + segment->base,
-                                segment->rows()),
-          &segment->cache);
-      const std::size_t base = segment->base;
-      bitmap.ForEachSet([&matches, &shard, base](std::size_t local) {
-        matches.push_back(static_cast<DocId>((base + local) * shard.stride +
-                                             shard.shard_index));
-      });
-    }
+  for (const auto& segment : shard.segments.segments()) {
+    const CompiledQuery compiled(query, segment->columns);
+    const FilterBitmap bitmap = compiled.Eval(
+        std::span<const Json>(shard.docs.data() + segment->base,
+                              segment->rows()),
+        &segment->cache);
+    const std::size_t base = segment->base;
+    bitmap.ForEachSet([&matches, &shard, base](std::size_t local) {
+      matches.push_back(static_cast<DocId>((base + local) * shard.stride +
+                                           shard.shard_index));
+    });
   }
   return matches;
 }
@@ -732,8 +408,7 @@ std::vector<DocId> ElasticStore::MatchingDocs(const Index& index,
   RunPerShard(num_shards, [&](std::size_t s) {
     const SubShard& shard = *index.shards[s];
     std::shared_lock shard_lock(shard.mu);
-    per_shard[s] = options_.doc_values ? MatchingDocsColumnar(shard, query)
-                                       : MatchingDocs(shard, query);
+    per_shard[s] = ScanShard(shard, query);
   });
 
   // Merge the per-shard lists (each ascending) in ascending docid order
@@ -759,8 +434,8 @@ std::vector<DocId> ElasticStore::MatchingDocs(const Index& index,
 
 namespace {
 
-// Decorated sort key for the columnar top-k path: the value class mirrors
-// the JSON comparator's branches (missing sorts last; numbers and strings
+// Decorated sort key for the top-k sort: the value class mirrors
+// JsonSortBefore's branches (missing sorts last; numbers and strings
 // compare within their class; anything else ties and falls through to the
 // next sort spec).
 struct SortKey {
@@ -782,44 +457,8 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
   std::vector<DocId> matches = MatchingDocs(*index, request.query);
   RowReader rows(*index, request.source);
 
-  if (!options_.doc_values) {
-    // Serial JSON engine: sort with per-comparison Json::Find (the oracle).
-    if (!request.sort.empty()) {
-      std::stable_sort(
-          matches.begin(), matches.end(), [&](DocId a, DocId b) {
-            for (const SortSpec& spec : request.sort) {
-              const Json* va = index->DocAt(a).Find(spec.field);
-              const Json* vb = index->DocAt(b).Find(spec.field);
-              // Missing values sort last regardless of direction.
-              if (va == nullptr && vb == nullptr) continue;
-              if (va == nullptr) return false;
-              if (vb == nullptr) return true;
-              int cmp = 0;
-              if (va->is_number() && vb->is_number()) {
-                const double da = va->as_double();
-                const double db = vb->as_double();
-                cmp = da < db ? -1 : (da > db ? 1 : 0);
-              } else if (va->is_string() && vb->is_string()) {
-                cmp = va->as_string().compare(vb->as_string());
-              }
-              if (cmp != 0) return spec.ascending ? cmp < 0 : cmp > 0;
-            }
-            return a < b;
-          });
-    }
-    SearchResult result;
-    result.total = matches.size();
-    const std::size_t start = std::min(request.from, matches.size());
-    const std::size_t end = std::min(start + request.size, matches.size());
-    result.hits.reserve(end - start);
-    for (std::size_t i = start; i < end; ++i) {
-      result.hits.push_back(Hit{matches[i], rows.Read(matches[i])});
-    }
-    return result;
-  }
-
-  // Columnar engine. Paging bounds first (saturating), because the sort only
-  // needs the top `end` entries.
+  // Paging bounds first (saturating), because the sort only needs the top
+  // `end` entries.
   SearchResult result;
   result.total = matches.size();
   const std::size_t start = std::min(request.from, matches.size());
@@ -896,7 +535,7 @@ Expected<SearchResult> ElasticStore::Search(const std::string& index_name,
       if (cmp != 0) return request.sort[j].ascending ? cmp < 0 : cmp > 0;
     }
     // Total docid tiebreak: the order is strict, so a plain (partial) sort
-    // produces exactly what the oracle's stable_sort does.
+    // is deterministic and pages agree with any stable sort by docid.
     return matches[a] < matches[b];
   };
   std::vector<std::size_t> order(matches.size());
@@ -933,9 +572,7 @@ Expected<std::size_t> ElasticStore::Count(const std::string& index_name,
   RunPerShard(num_shards, [&](std::size_t s) {
     const SubShard& shard = *index->shards[s];
     std::shared_lock shard_lock(shard.mu);
-    counts[s] = (options_.doc_values ? MatchingDocsColumnar(shard, query)
-                                     : MatchingDocs(shard, query))
-                    .size();
+    counts[s] = ScanShard(shard, query).size();
   });
   std::size_t total = 0;
   for (const std::size_t c : counts) total += c;
@@ -1028,12 +665,6 @@ Expected<AggResult> ElasticStore::Aggregate(const std::string& index_name,
   index->AwaitRefreshGate();
   std::shared_lock refresh_lock(index->refresh_mu);
   std::vector<DocId> matches = MatchingDocs(*index, query);
-  if (!options_.doc_values) {
-    std::vector<const Json*> docs;
-    docs.reserve(matches.size());
-    for (DocId id : matches) docs.push_back(&index->DocAt(id));
-    return agg.Execute(docs);
-  }
   std::vector<ShardedAggSource::ShardView> views;
   views.reserve(index->num_shards());
   for (const auto& shard : index->shards) {
@@ -1051,12 +682,6 @@ Expected<AggPartial> ElasticStore::AggregatePartial(
   index->AwaitRefreshGate();
   std::shared_lock refresh_lock(index->refresh_mu);
   std::vector<DocId> matches = MatchingDocs(*index, query);
-  if (!options_.doc_values) {
-    std::vector<const Json*> docs;
-    docs.reserve(matches.size());
-    for (DocId id : matches) docs.push_back(&index->DocAt(id));
-    return agg.ExecutePartial(docs);
-  }
   std::vector<ShardedAggSource::ShardView> views;
   views.reserve(index->num_shards());
   for (const auto& shard : index->shards) {
@@ -1124,34 +749,25 @@ Expected<std::size_t> ElasticStore::UpdateByQuery(
     }
     ++modified;
     modified_pos[s].push_back(pos);
-    // Re-index the updated document: postings become a superset (stale
-    // entries are filtered by re-verification at query time).
-    IndexDoc(shard, id, shard.docs[pos]);
   }
   index->updates.fetch_add(modified, std::memory_order_relaxed);
-  for (const auto& shard : index->shards) {
-    std::unique_lock shard_lock(shard->mu);
-    SortNumericsIfDirty(*shard);
-  }
-  if (options_.doc_values) {
-    // Rewrite just the modified JSON slots in place and invalidate only the
-    // touched segments' caches: blocks the update never reached keep their
-    // bitmaps and their dictionary ranks (a rewrite may add dictionary
-    // entries, but FinishBatch re-ranks only dictionaries that grew).
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      SubShard& shard = *index->shards[s];
-      std::unique_lock shard_lock(shard.mu);
-      for (const std::size_t pos : modified_pos[s]) {
-        shard.segments.SegmentFor(pos).columns.ReplaceRow(
-            shard.segments.LocalPos(pos), shard.docs[pos]);
-        touched[s][shard.segments.SegmentIndexFor(pos)] = 1;
-      }
-      for (std::size_t k = 0; k < touched[s].size(); ++k) {
-        if (touched[s][k] == 0) continue;
-        ColumnSegment& segment = *shard.segments.segments()[k];
-        segment.columns.FinishBatch();
-        segment.cache.Clear();
-      }
+  // Rewrite just the modified JSON slots in place and invalidate only the
+  // touched segments' caches: blocks the update never reached keep their
+  // bitmaps and their dictionary ranks (a rewrite may add dictionary
+  // entries, but FinishBatch re-ranks only dictionaries that grew).
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    SubShard& shard = *index->shards[s];
+    std::unique_lock shard_lock(shard.mu);
+    for (const std::size_t pos : modified_pos[s]) {
+      shard.segments.SegmentFor(pos).columns.ReplaceRow(
+          shard.segments.LocalPos(pos), shard.docs[pos]);
+      touched[s][shard.segments.SegmentIndexFor(pos)] = 1;
+    }
+    for (std::size_t k = 0; k < touched[s].size(); ++k) {
+      if (touched[s][k] == 0) continue;
+      ColumnSegment& segment = *shard.segments.segments()[k];
+      segment.columns.FinishBatch();
+      segment.cache.Clear();
     }
   }
   return modified;
@@ -1224,26 +840,50 @@ Expected<std::string> ElasticStore::LoadIndex(const std::string& file_path,
     return InvalidArgument("empty snapshot: " + file_path);
   }
   auto header = Json::Parse(line);
-  if (!header.ok() || !header->Has("dio_index_snapshot")) {
-    return InvalidArgument("not a DIO index snapshot: " + file_path);
+  const Json* name =
+      header.ok() ? header->Find("dio_index_snapshot") : nullptr;
+  if (name == nullptr || !name->is_string() || name->as_string().empty()) {
+    return InvalidArgument(file_path +
+                           ":1: not a DIO index snapshot header (needs a "
+                           "non-empty string dio_index_snapshot)");
   }
-  const std::string index = rename_to.empty()
-                                ? header->GetString("dio_index_snapshot")
-                                : rename_to;
+  const Json* docs = header->Find("docs");
+  if (docs == nullptr || !docs->is_int() || docs->as_int() < 0) {
+    return InvalidArgument(file_path +
+                           ":1: header docs must be a non-negative integer");
+  }
+  const auto expected = static_cast<std::uint64_t>(docs->as_int());
+  const std::string index = rename_to.empty() ? name->as_string() : rename_to;
   if (HasIndex(index)) {
     return AlreadyExists("index exists: " + index);
   }
-  DIO_RETURN_IF_ERROR(CreateIndex(index));
+  // Read the whole file before creating the index, so a rejected snapshot
+  // leaves no index behind.
   std::vector<Json> batch;
+  std::size_t line_no = 1;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) continue;
     auto doc = Json::Parse(line);
     if (!doc.ok()) {
-      (void)DeleteIndex(index);
-      return InvalidArgument("corrupt snapshot line: " + doc.status().message());
+      return InvalidArgument(file_path + ":" + std::to_string(line_no) +
+                             ": corrupt snapshot line: " +
+                             doc.status().message());
+    }
+    if (batch.size() == expected) {
+      return InvalidArgument(file_path + ":" + std::to_string(line_no) +
+                             ": more rows than the header's " +
+                             std::to_string(expected) + " docs");
     }
     batch.push_back(std::move(doc.value()));
   }
+  if (batch.size() != expected) {
+    return InvalidArgument(file_path + ":" + std::to_string(line_no) +
+                           ": snapshot ends after " +
+                           std::to_string(batch.size()) + " of the header's " +
+                           std::to_string(expected) + " docs");
+  }
+  DIO_RETURN_IF_ERROR(CreateIndex(index));
   Bulk(index, std::move(batch));
   Refresh(index);
   return index;

@@ -4,23 +4,22 @@
 //     arguments"),
 //   * bulk indexing with near-real-time visibility (documents become
 //     searchable at the next refresh, like ES's refresh_interval),
-//   * term/range/prefix/bool queries with per-field inverted + numeric
-//     indexes,
+//   * term/terms/range/prefix/exists/bool queries,
 //   * aggregations (terms, histograms, percentiles) with sub-aggregations,
 //   * update-by-query, which the file-path correlation algorithm uses (its
 //     FilePathUpdate writes typed rows' file_path into the columns in place).
 //
-// Query execution has two engines:
-//   * the serial JSON engine — per-document Query::Matches over raw Json,
-//     sub-shards visited one by one. Simple, and kept as the parity oracle;
-//   * the columnar engine (backend.doc_values, default on) — at Refresh each
-//     sub-shard also materializes typed doc-value columns, and term / terms /
-//     range / prefix / exists predicates, sort keys, and aggregations resolve
-//     against those columns (or cached filter bitmaps) instead of Json::Find
-//     per document, the way Lucene serves analytics from doc-values.
-// With backend.query_threads > 0, sub-shards are evaluated in parallel on a
-// shared pool and per-shard results merged in docid order; both engines
-// return byte-identical results either way.
+// Query execution has one engine, over columns: at Refresh each sub-shard
+// appends its new rows to typed doc-value columns held in sealed segments
+// (backend/segments.h), and every query scans those segments one at a time
+// — predicates resolve against the columns or the segment's cached filter
+// bitmaps, and sort keys and aggregations read the columns instead of
+// Json::Find per document, the way Lucene serves analytics from
+// doc-values. With backend.query_threads > 0, sub-shards are evaluated in
+// parallel on a shared pool and per-shard results merged in docid order;
+// results are byte-identical either way. The JSON semantics the engine must
+// reproduce (Query::Matches, JsonSortBefore, Aggregation::Execute) are the
+// tests' reference.
 #pragma once
 
 #include <atomic>
@@ -29,11 +28,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "backend/aggregation.h"
@@ -60,24 +57,19 @@ struct ElasticStoreOptions {
   // Worker threads for per-sub-shard query fan-out. 0 = evaluate sub-shards
   // on the calling thread (no pool).
   std::size_t query_threads = 0;
-  // Materialize doc-value columns at Refresh and serve queries from them.
-  // Off = the serial JSON engine (the parity oracle).
-  bool doc_values = true;
-  // Rows per sealed column segment. Each sub-shard's columns are an ordered
-  // list of immutable sealed blocks of exactly this many rows plus one
-  // growing tail: Refresh builds only the tail's columns, off-lock, and
+  // Rows per sealed column segment (>= 1). Each sub-shard's columns are an
+  // ordered list of immutable sealed blocks of exactly this many rows plus
+  // one growing tail: Refresh builds only the tail's columns, off-lock, and
   // sealed blocks keep their filter-bitmap caches and dictionary ranks
-  // across refreshes. 0 = legacy rebuild-everything mode (one block, grown
-  // and invalidated wholesale under the exclusive lock — the bench baseline
-  // and the sim's full-rebuild parity oracle).
+  // across refreshes. SIZE_MAX keeps every row in one never-sealed tail.
   std::size_t segment_docs = 1 << 16;
   // Cached filter bitmaps per segment, evicted in LRU order. 0 disables
   // bitmap caching entirely (the drop-all-caches parity twin).
   std::size_t filter_cache_entries = FilterBitmapCache::kDefaultEntries;
   // Ingest BulkWire() batches straight into doc-value columns, skipping the
-  // per-event JSON build/parse entirely (requires doc_values). Off = wire
-  // batches are materialized to JSON and take the Bulk() route — the parity
-  // oracle for the typed path.
+  // per-event JSON build/parse entirely. Off = wire batches are
+  // materialized to JSON and take the Bulk() route — the parity oracle for
+  // the typed path.
   bool typed_ingest = true;
   // Route bitmap combination / range / term-list / histogram evaluation
   // through the vectorized kernels (backend/simd_kernels.h). Process-wide:
@@ -88,7 +80,10 @@ struct ElasticStoreOptions {
   // index.max_result_window). Programmatic SearchRequests are not clamped.
   std::size_t max_result_window = 10'000;
 
-  static ElasticStoreOptions FromConfig(const Config& config);
+  // Reads the `[backend]` section. Rejects, naming the key, a
+  // shards_per_index, max_result_window or segment_docs below 1 and a
+  // negative query_threads or filter_cache_entries.
+  static Expected<ElasticStoreOptions> FromConfig(const Config& config);
 };
 
 class ElasticStore : public QueryBackend {
@@ -116,12 +111,12 @@ class ElasticStore : public QueryBackend {
   // next Refresh() (near-real-time semantics).
   void Bulk(const std::string& index, std::vector<Json> documents);
   // Typed bulk ingestion: buffers binary wire records; at Refresh their
-  // fields are appended straight into doc-value columns (no JSON build, no
-  // postings). Queries over typed rows read the columns; row-oriented views
-  // (hits, snapshots, a generic update-by-query) are rebuilt on demand and
+  // fields are appended straight into doc-value columns (no JSON build).
+  // Queries over typed rows read the columns; row-oriented views (hits,
+  // snapshots, a generic update-by-query) are rebuilt on demand and
   // are byte-identical to the documents Bulk() would have produced from
   // WireEventToJson (plus a correlated file_path). Falls back to exactly
-  // that Bulk() route when typed_ingest or doc_values is off.
+  // that Bulk() route when typed_ingest is off.
   void BulkWire(const std::string& index, std::string_view session,
                 std::vector<tracer::WireEvent> records);
   // Makes all buffered documents searchable.
@@ -161,17 +156,21 @@ class ElasticStore : public QueryBackend {
       const std::string& index) const override;
 
   // Durable snapshots (post-mortem analysis across process restarts, §II):
-  // writes one JSON document per line, prefixed by a header line.
+  // writes one JSON document per line, prefixed by a header line
+  // {"dio_index_snapshot": <index>, "docs": <row count>}.
   Status SaveIndex(const std::string& index, const std::string& file_path) const;
   // Loads a snapshot into a new index named by the snapshot header (or
-  // `rename_to` if non-empty). Fails if the target index already exists.
+  // `rename_to` if non-empty). Fails if the target index already exists, if
+  // the header is malformed, if a line is not JSON, or if the row count
+  // differs from the header's `docs`; errors carry the 1-based line number,
+  // and a failed load creates no index.
   Expected<std::string> LoadIndex(const std::string& file_path,
                                   const std::string& rename_to = "");
 
  private:
   // One sub-shard of an index: owns the documents with
   // docid % num_shards == shard_index (stored at position docid / num_shards)
-  // plus the term/numeric indexes over exactly those documents.
+  // plus the doc-value columns over exactly those documents.
   struct SubShard {
     SubShard(std::size_t segment_docs, std::size_t cache_entries)
         : segments(segment_docs, cache_entries) {}
@@ -181,49 +180,24 @@ class ElasticStore : public QueryBackend {
 
     mutable std::shared_mutex mu;
     std::vector<Json> docs;  // position = docid / stride
-    // term index: field -> canonical term -> posting list (global docids,
-    // ascending). Terms are kept sorted so prefix queries walk just the
-    // "s:<prefix>" range. Postings may be stale supersets after updates;
-    // queries re-verify against the document.
-    std::unordered_map<std::string,
-                       std::map<std::string, std::vector<DocId>, std::less<>>>
-        terms;
-    // numeric index: field -> (value, global docid) sorted by value.
-    std::unordered_map<std::string,
-                       std::vector<std::pair<std::int64_t, DocId>>>
-        numerics;
-    bool numerics_dirty = false;
 
-    // Columnar engine state (backend.doc_values): the sub-shard's ordered
-    // segment list — sealed immutable blocks plus one growing tail, each
-    // with its own scan-path bitmap cache. Covers the same positions as
-    // `docs` (segment index = pos / segment_docs). Swapped/extended only
-    // under refresh_mu unique; read under refresh_mu shared.
+    // The sub-shard's ordered segment list — sealed immutable blocks plus
+    // one growing tail, each with its own bitmap cache. Covers the same
+    // positions as `docs` (segment index = pos / segment_docs).
+    // Swapped/extended only under refresh_mu unique; read under refresh_mu
+    // shared.
     SegmentedColumns segments;
 
     // Typed-ingest state (backend.typed_ingest): typed[pos] != 0 marks a row
-    // whose fields live only in `segments` — docs[pos] is a null placeholder
-    // and the term/numeric indexes never saw it, so while typed_rows > 0
-    // queries must take the scan path (Candidates() would miss these rows).
-    // Correlation keeps a row typed (its file_path is one more column); any
-    // other update-by-query that modifies a typed row converts it to a JSON
-    // row.
+    // whose fields live only in `segments` — docs[pos] is a null
+    // placeholder. Correlation keeps a row typed (its file_path is one more
+    // column); any other update-by-query that modifies a typed row converts
+    // it to a JSON row.
     std::vector<std::uint8_t> typed;
     std::size_t typed_rows = 0;
 
     [[nodiscard]] bool IsTyped(std::size_t pos) const {
       return pos < typed.size() && typed[pos] != 0;
-    }
-
-    [[nodiscard]] const Json& DocAt(DocId id) const {
-      return docs[static_cast<std::size_t>(id) / stride];
-    }
-    [[nodiscard]] Json& DocAt(DocId id) {
-      return docs[static_cast<std::size_t>(id) / stride];
-    }
-    [[nodiscard]] bool Owns(DocId id) const {
-      return static_cast<std::size_t>(id) % stride == shard_index &&
-             static_cast<std::size_t>(id) / stride < docs.size();
     }
   };
 
@@ -293,31 +267,14 @@ class ElasticStore : public QueryBackend {
     std::vector<std::uint64_t> refresh_pause_ns;
 
     [[nodiscard]] std::size_t num_shards() const { return shards.size(); }
-    [[nodiscard]] const Json& DocAt(DocId id) const {
-      return shards[static_cast<std::size_t>(id) % shards.size()]->DocAt(id);
-    }
-    [[nodiscard]] Json& DocAt(DocId id) {
-      return shards[static_cast<std::size_t>(id) % shards.size()]->DocAt(id);
-    }
   };
 
   class RowReader;
 
-  static std::string TermKey(const Json& value);
-  static void IndexDoc(SubShard& shard, DocId id, const Json& doc);
-  static void SortNumericsIfDirty(SubShard& shard);
-  // Candidate docids for the query via this sub-shard's indexes (superset
-  // of matches), or nullopt when the query cannot be served by an index
-  // (falls back to scanning). Caller verifies with Query::Matches.
-  static std::optional<std::vector<DocId>> Candidates(const SubShard& shard,
-                                                      const Query& query);
-  // Serial JSON engine: verify candidates / scan with Query::Matches.
-  static std::vector<DocId> MatchingDocs(const SubShard& shard,
-                                         const Query& query);
-  // Columnar engine: verify candidates / scan with a CompiledQuery over the
-  // shard's doc-value columns (bitmaps cached for scan-path predicates).
-  static std::vector<DocId> MatchingDocsColumnar(const SubShard& shard,
-                                                 const Query& query);
+  // This sub-shard's matches, ascending: one CompiledQuery per segment,
+  // evaluated against the segment's columns and bitmap cache.
+  static std::vector<DocId> ScanShard(const SubShard& shard,
+                                      const Query& query);
   // All matches across sub-shards, ascending docid (= ingestion order),
   // fanned out on the query pool when configured. Caller must hold
   // refresh_mu (shared or unique).

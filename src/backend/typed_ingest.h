@@ -1,8 +1,8 @@
 // Typed bulk ingest: WireEvent -> doc-value columns, no JSON middleman.
 //
 // The JSON route builds one Json tree per event (Event::ToJson), ships it
-// through the pipeline, parses it back into postings + columns at Refresh,
-// and keeps the tree alive as the row store. The typed route cuts all of
+// through the pipeline, parses it back into columns at Refresh, and keeps
+// the tree alive as the row store. The typed route cuts all of
 // that out: the tracer ships raw WireEvent records, and at Refresh a
 // WireColumnAppender writes each field straight into the sub-shard's
 // DocValueColumn cells — one dictionary intern or int64 store per field,

@@ -46,30 +46,6 @@ std::uint64_t RoutingHashOfDoc(const Json& doc) {
   return Fnv1a(doc.Dump(), 0xcbf29ce484222325ULL);
 }
 
-// The serial JSON engine's sort comparator (store.cc), minus the docid
-// tiebreak: the gather merges hits in ascending global seq and stable_sorts,
-// which reproduces the oracle's stable_sort over ascending docids exactly.
-bool OracleSortBefore(const std::vector<backend::SortSpec>& specs,
-                      const Json& a, const Json& b) {
-  for (const backend::SortSpec& spec : specs) {
-    const Json* va = a.Find(spec.field);
-    const Json* vb = b.Find(spec.field);
-    if (va == nullptr && vb == nullptr) continue;
-    if (va == nullptr) return false;  // missing sorts last
-    if (vb == nullptr) return true;
-    int cmp = 0;
-    if (va->is_number() && vb->is_number()) {
-      const double da = va->as_double();
-      const double db = vb->as_double();
-      cmp = da < db ? -1 : (da > db ? 1 : 0);
-    } else if (va->is_string() && vb->is_string()) {
-      cmp = va->as_string().compare(vb->as_string());
-    }
-    if (cmp != 0) return spec.ascending ? cmp < 0 : cmp > 0;
-  }
-  return false;
-}
-
 // The projection each shard applies for a projected search: the request's
 // fields plus any sort field they lack, because the router's merge compares
 // sort keys on the shard hits. Empty when the request is not projected.
@@ -949,11 +925,11 @@ Expected<backend::SearchResult> ClusterRouter::SearchGatherAll(
 
   if (!request.sort.empty()) {
     // Input is ascending global seq, so a stable sort without a tiebreak
-    // reproduces the single store's stable_sort over ascending docids.
+    // reproduces the single store's docid tiebreak.
     std::stable_sort(merged->begin(), merged->end(),
                      [&](const auto& a, const auto& b) {
-                       return OracleSortBefore(request.sort, a.second,
-                                               b.second);
+                       return backend::JsonSortBefore(request.sort, a.second,
+                                                      b.second);
                      });
   }
 
@@ -1047,14 +1023,18 @@ Expected<backend::SearchResult> ClusterRouter::SearchPushdown(
     if (!t.stream.empty()) streams.push_back(std::move(t.stream));
   }
 
-  // K-way merge of the per-shard runs under the oracle's total order
+  // K-way merge of the per-shard runs under the store's total order
   // (sort keys first, ascending gseq as the tiebreak — or plain gseq when
   // unsorted), stopping once the page is filled.
   const auto before = [&](const std::pair<std::uint64_t, Json>& a,
                           const std::pair<std::uint64_t, Json>& b) {
     if (!request.sort.empty()) {
-      if (OracleSortBefore(request.sort, a.second, b.second)) return true;
-      if (OracleSortBefore(request.sort, b.second, a.second)) return false;
+      if (backend::JsonSortBefore(request.sort, a.second, b.second)) {
+        return true;
+      }
+      if (backend::JsonSortBefore(request.sort, b.second, a.second)) {
+        return false;
+      }
     }
     return a.first < b.first;
   };

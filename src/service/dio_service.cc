@@ -27,8 +27,8 @@ Json SessionInfo::ToJson() const {
 
 Expected<BackendTier> BuildBackendTier(const Config& config) {
   BackendTier tier;
-  const backend::ElasticStoreOptions store_options =
-      backend::ElasticStoreOptions::FromConfig(config);
+  auto store_options = backend::ElasticStoreOptions::FromConfig(config);
+  if (!store_options.ok()) return store_options.status();
   bool clustered = false;
   for (const auto& [key, value] : config.entries()) {
     if (key.rfind("cluster.", 0) == 0) {
@@ -39,11 +39,11 @@ Expected<BackendTier> BuildBackendTier(const Config& config) {
   if (clustered) {
     auto cluster_options = cluster::ClusterOptions::FromConfig(config);
     if (!cluster_options.ok()) return cluster_options.status();
-    cluster_options->store = store_options;
+    cluster_options->store = *store_options;
     tier.router = std::make_unique<cluster::ClusterRouter>(*cluster_options);
     tier.query = tier.router.get();
   } else {
-    tier.store = std::make_unique<backend::ElasticStore>(store_options);
+    tier.store = std::make_unique<backend::ElasticStore>(*store_options);
     tier.query = tier.store.get();
   }
   return tier;

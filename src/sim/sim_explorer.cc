@@ -15,10 +15,11 @@
 // route; every invariant must hold identically on both.
 //
 // --segment-docs=N sets the sealed-segment size of the run's stores
-// (backend.segment_docs; 0 = legacy rebuild-everything columnar mode).
-// The sim default is deliberately tiny (32) so seal boundaries fall mid-
-// run; in cluster mode the restore oracle always runs with segment_docs=0,
-// making the scattered-vs-restored parity a segments-vs-rebuild oracle.
+// (backend.segment_docs, N >= 1; a large N keeps every row in one unsealed
+// tail). The sim default is deliberately tiny (32) so seal boundaries fall
+// mid-run; in cluster mode the restore oracle always keeps one never-sealed
+// tail, making the scattered-vs-restored parity a sealed-vs-unsealed
+// oracle.
 //
 // --cluster=N runs every seed against an N-node ClusterRouter backend
 // (--replicas and --ack pick the replication factor and ack level): the
@@ -117,6 +118,10 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--segment-docs", &value)) {
       segment_docs =
           static_cast<std::size_t>(ParseCount(value, "--segment-docs"));
+      if (segment_docs == 0) {
+        std::fprintf(stderr, "sim_explorer: --segment-docs must be >= 1\n");
+        return 2;
+      }
     } else if (arg == "--json-ingest") {
       json_ingest = true;
     } else {

@@ -451,12 +451,14 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
   store_options.segment_docs = options.segment_docs;
   // In cluster mode `store` only serves the post-run spool restore (the
   // single-store oracle the scattered query results are compared against);
-  // it always runs with segment_docs=0 (the rebuild-everything columnar
-  // mode) so the restored-vs-scattered parity invariant is also a
-  // sealed-segments-vs-full-rebuild oracle. The live backend is the
-  // router's node stores, which take the configured segment size.
+  // it always keeps one never-sealed tail so the restored-vs-scattered
+  // parity invariant is also a sealed-vs-unsealed segments oracle. The live
+  // backend is the router's node stores, which take the configured segment
+  // size.
   backend::ElasticStoreOptions oracle_options = store_options;
-  if (options.cluster_nodes > 0) oracle_options.segment_docs = 0;
+  if (options.cluster_nodes > 0) {
+    oracle_options.segment_docs = std::numeric_limits<std::size_t>::max();
+  }
   backend::ElasticStore store(oracle_options);
 
   const bool cluster_mode = options.cluster_nodes > 0;

@@ -63,11 +63,11 @@ struct SimOptions {
   // (wire records materialized to documents at the store boundary). Every
   // invariant must hold identically on both.
   bool typed_ingest = true;
-  // Sealed-segment size for the run's stores (backend.segment_docs). Small
-  // values force many seal boundaries at sim scale; 0 = the legacy
-  // rebuild-everything columnar mode. In cluster mode the post-run restore
-  // oracle always runs with segment_docs=0 so the scattered-vs-restored
-  // parity check doubles as a segments-vs-full-rebuild oracle.
+  // Sealed-segment size for the run's stores (backend.segment_docs, >= 1).
+  // Small values force many seal boundaries at sim scale. In cluster mode
+  // the post-run restore oracle always keeps one never-sealed tail so the
+  // scattered-vs-restored parity check doubles as a sealed-vs-unsealed
+  // oracle.
   std::size_t segment_docs = 32;
   // Cluster mode: > 0 replaces the single backend store with a
   // `cluster_nodes`-node ClusterRouter behind a ClusterBulkSink; the fault

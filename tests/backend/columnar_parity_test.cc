@@ -1,15 +1,17 @@
-// Parity tests for the columnar query engine (backend.doc_values) and the
-// parallel per-shard fan-out (backend.query_threads). The serial JSON engine
-// (doc_values off, query_threads 0) is the oracle: for the same Bulk call
-// sequence, every observable result — hits, docids, totals, sort order,
-// aggregation buckets and metrics, update-by-query effects — must be
-// byte-identical across engines and thread counts.
+// Parity tests for the columnar query engine and the parallel per-shard
+// fan-out (backend.query_threads). The JSON ReferenceBackend is the oracle:
+// for the same Bulk call sequence, every observable result — hits, docids,
+// totals, sort order, aggregation buckets and metrics, update-by-query
+// effects — must be byte-identical across shard and thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "backend/reference_backend.h"
 #include "backend/store.h"
 #include "common/random.h"
 
@@ -100,7 +102,8 @@ Json RandomDoc(Random& rng, int docnum) {
   return doc;
 }
 
-void FillStores(std::uint64_t seed, std::vector<ElasticStore*> stores) {
+void FillStores(std::uint64_t seed, ReferenceBackend& reference,
+                ElasticStore& store) {
   Random rng(seed);
   int docnum = 0;
   for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
@@ -108,12 +111,15 @@ void FillStores(std::uint64_t seed, std::vector<ElasticStore*> stores) {
     for (int i = 0; i < batch_size; ++i, ++docnum) {
       docs.push_back(RandomDoc(rng, docnum));
     }
-    for (ElasticStore* store : stores) store->Bulk("ev", docs);
+    reference.Bulk("ev", docs);
+    store.Bulk("ev", docs);
     if (batch_size == 128) {  // interleave a refresh mid-sequence
-      for (ElasticStore* store : stores) store->Refresh("ev");
+      reference.Refresh("ev");
+      store.Refresh("ev");
     }
   }
-  for (ElasticStore* store : stores) store->Refresh("ev");
+  reference.Refresh("ev");
+  store.Refresh("ev");
 }
 
 std::vector<SearchRequest> ParityRequests() {
@@ -152,7 +158,7 @@ std::vector<SearchRequest> ParityRequests() {
   SearchRequest null_member;  // null members exist and group as kOther
   null_member.query = Query::Exists("extra");
   out.push_back(null_member);
-  SearchRequest empty_or;  // structural edge: empty Or differs by path
+  SearchRequest empty_or;  // structural edge: an empty Or matches everything
   empty_or.query = Query::And({Query::Or({}), Query::Exists("tid")});
   out.push_back(empty_or);
   SearchRequest deep_page;
@@ -190,19 +196,14 @@ class ColumnarParityTest
 
 TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
   for (const std::uint64_t seed : {7ULL, 1234ULL, 982451653ULL}) {
-    ElasticStoreOptions oracle_opts;
-    oracle_opts.shards_per_index = GetParam().shards;
-    oracle_opts.doc_values = false;
-    oracle_opts.query_threads = 0;
-    ElasticStore oracle(oracle_opts);
+    ReferenceBackend oracle;
 
     ElasticStoreOptions columnar_opts;
     columnar_opts.shards_per_index = GetParam().shards;
-    columnar_opts.doc_values = true;
     columnar_opts.query_threads = GetParam().threads;
     ElasticStore columnar(columnar_opts);
 
-    FillStores(seed, {&oracle, &columnar});
+    FillStores(seed, oracle, columnar);
 
     const auto requests = ParityRequests();
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -264,80 +265,98 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- distributed partial aggregation ----------------------------------------
 // AggregatePartial over a split corpus, merged in split order and finalized,
-// must equal Aggregate over the full corpus — on both engines. The aggs keep
+// must equal Aggregate over the full corpus — on the store and on the
+// reference, and the store's must equal the reference's. The aggs keep
 // stats fields integer-valued (exact partial sums); percentile merges are
 // exact even over true doubles because they merge sorted values, not sums.
 
-TEST(AggregatePartialStoreTest, SplitPartialsFinalizeToFullAggregate) {
-  for (const bool doc_values : {false, true}) {
-    ElasticStoreOptions opts;
-    opts.shards_per_index = 4;
-    opts.doc_values = doc_values;
-    opts.query_threads = 0;
-    ElasticStore full(opts);
-    ElasticStore first(opts);
-    ElasticStore second(opts);
-    Random rng(982451653ULL);
-    int docnum = 0;
-    int batch_index = 0;
-    for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
-      std::vector<Json> docs;
-      for (int i = 0; i < batch_size; ++i, ++docnum) {
-        docs.push_back(RandomDoc(rng, docnum));
-      }
-      full.Bulk("ev", docs);
-      (batch_index++ < 3 ? first : second).Bulk("ev", docs);
+// Runs the split-partials check over one kind of backend; returns every
+// finalized dump so the store's can be compared with the reference's.
+template <typename Backend>
+std::vector<std::string> SplitPartials(Backend& full, Backend& first,
+                                       Backend& second,
+                                       const std::string& label) {
+  Random rng(982451653ULL);
+  int docnum = 0;
+  int batch_index = 0;
+  for (const int batch_size : {3, 41, 128, 1, 64, 17, 200}) {
+    std::vector<Json> docs;
+    for (int i = 0; i < batch_size; ++i, ++docnum) {
+      docs.push_back(RandomDoc(rng, docnum));
     }
-    for (ElasticStore* store : {&full, &first, &second}) store->Refresh("ev");
+    full.Bulk("ev", docs);
+    (batch_index++ < 3 ? first : second).Bulk("ev", docs);
+  }
+  for (Backend* store : {&full, &first, &second}) store->Refresh("ev");
 
-    std::vector<Aggregation> aggs;
-    aggs.push_back(Aggregation::Terms("syscall")
-                       .SubAgg("lat", Aggregation::Stats("ret"))
-                       .SubAgg("p", Aggregation::Percentiles("duration_ns",
-                                                             {50, 95, 99})));
-    aggs.push_back(Aggregation::DateHistogram("time_enter", 500)
-                       .SubAgg("by_comm", Aggregation::Terms("comm", 3)));
-    aggs.push_back(Aggregation::Terms("offset"));  // mixed int/string keys
-    aggs.push_back(Aggregation::Terms("extra"));   // null members (kOther)
-    aggs.push_back(Aggregation::Stats("ret"));
-    aggs.push_back(Aggregation::Percentiles("duration_ns", {1.0, 50.0, 99.9}));
+  std::vector<Aggregation> aggs;
+  aggs.push_back(Aggregation::Terms("syscall")
+                     .SubAgg("lat", Aggregation::Stats("ret"))
+                     .SubAgg("p", Aggregation::Percentiles("duration_ns",
+                                                           {50, 95, 99})));
+  aggs.push_back(Aggregation::DateHistogram("time_enter", 500)
+                     .SubAgg("by_comm", Aggregation::Terms("comm", 3)));
+  aggs.push_back(Aggregation::Terms("offset"));  // mixed int/string keys
+  aggs.push_back(Aggregation::Terms("extra"));   // null members (kOther)
+  aggs.push_back(Aggregation::Stats("ret"));
+  aggs.push_back(Aggregation::Percentiles("duration_ns", {1.0, 50.0, 99.9}));
 
-    std::vector<Query> queries;
-    queries.push_back(Query::MatchAll());
-    queries.push_back(Query::Range("ret", 0, 40'000));
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      for (std::size_t i = 0; i < aggs.size(); ++i) {
-        auto ref = full.Aggregate("ev", queries[q], aggs[i]);
-        auto part_a = first.AggregatePartial("ev", queries[q], aggs[i]);
-        auto part_b = second.AggregatePartial("ev", queries[q], aggs[i]);
-        auto part_full = full.AggregatePartial("ev", queries[q], aggs[i]);
-        ASSERT_TRUE(ref.ok() && part_a.ok() && part_b.ok() && part_full.ok())
-            << "doc_values=" << doc_values << " query " << q << " agg " << i;
-        AggPartial merged;
-        aggs[i].MergePartial(merged, std::move(*part_a));
-        aggs[i].MergePartial(merged, std::move(*part_b));
-        EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(merged))),
-                  DumpAgg(*ref))
-            << "doc_values=" << doc_values << " query " << q << " agg " << i;
-        // Degenerate split: one partial over the whole corpus.
-        EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(*part_full))),
-                  DumpAgg(*ref))
-            << "doc_values=" << doc_values << " query " << q << " agg " << i;
+  std::vector<Query> queries;
+  queries.push_back(Query::MatchAll());
+  queries.push_back(Query::Range("ret", 0, 40'000));
+  std::vector<std::string> dumps;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    for (std::size_t i = 0; i < aggs.size(); ++i) {
+      auto ref = full.Aggregate("ev", queries[q], aggs[i]);
+      auto part_a = first.AggregatePartial("ev", queries[q], aggs[i]);
+      auto part_b = second.AggregatePartial("ev", queries[q], aggs[i]);
+      auto part_full = full.AggregatePartial("ev", queries[q], aggs[i]);
+      EXPECT_TRUE(ref.ok() && part_a.ok() && part_b.ok() && part_full.ok())
+          << label << " query " << q << " agg " << i;
+      if (!(ref.ok() && part_a.ok() && part_b.ok() && part_full.ok())) {
+        return dumps;
       }
+      AggPartial merged;
+      aggs[i].MergePartial(merged, std::move(*part_a));
+      aggs[i].MergePartial(merged, std::move(*part_b));
+      const std::string merged_dump =
+          DumpAgg(aggs[i].FinalizePartial(std::move(merged)));
+      EXPECT_EQ(merged_dump, DumpAgg(*ref))
+          << label << " query " << q << " agg " << i;
+      // Degenerate split: one partial over the whole corpus.
+      EXPECT_EQ(DumpAgg(aggs[i].FinalizePartial(std::move(*part_full))),
+                DumpAgg(*ref))
+          << label << " query " << q << " agg " << i;
+      dumps.push_back(merged_dump);
     }
   }
+  return dumps;
 }
 
-// ---- prefix queries over wide term dictionaries (sorted term index) ---------
+TEST(AggregatePartialStoreTest, SplitPartialsFinalizeToFullAggregate) {
+  ReferenceBackend ref_full;
+  ReferenceBackend ref_first;
+  ReferenceBackend ref_second;
+  const std::vector<std::string> want =
+      SplitPartials(ref_full, ref_first, ref_second, "reference");
+
+  ElasticStoreOptions opts;
+  opts.shards_per_index = 4;
+  opts.query_threads = 0;
+  ElasticStore full(opts);
+  ElasticStore first(opts);
+  ElasticStore second(opts);
+  EXPECT_EQ(SplitPartials(full, first, second, "store"), want);
+}
+
+// ---- prefix queries over wide term dictionaries (rank ranges) --------------
 
 TEST(ColumnarPrefixTest, PrefixSkipsNonMatchingTerms) {
   // Thousands of terms that do NOT match the prefix, bracketing the ones
-  // that do: the sorted term index must land on the "s:<prefix>" range via
-  // lower_bound instead of walking every term, and both engines must agree.
-  ElasticStoreOptions oracle_opts;
-  oracle_opts.doc_values = false;
-  ElasticStore oracle(oracle_opts);
-  ElasticStore columnar;  // defaults: doc_values on
+  // that do: the prefix must resolve to the dictionary's contiguous rank
+  // range, and the store must agree with the reference.
+  ReferenceBackend oracle;
+  ElasticStore columnar;
 
   std::vector<Json> docs;
   for (int i = 0; i < 3000; ++i) {
@@ -373,6 +392,84 @@ TEST(ColumnarPrefixTest, PrefixSkipsNonMatchingTerms) {
     }
   }
   EXPECT_EQ(*columnar.Count("p", Query::Prefix("file_path", "match-")), 1000u);
+}
+
+// ---- JSON-only index -----------------------------------------------------------
+// An index loaded from a snapshot holds only JSON rows (typed_rows == 0).
+// Its queries take the same per-segment column scan as typed rows, so every
+// predicate shape must match the reference, and repeated predicates must be
+// answered from the segments' bitmap caches.
+
+TEST(ColumnarJsonIndexTest, LoadedJsonIndexMatchesReference) {
+  const std::string path = ::testing::TempDir() + "/dio_json_only_index.jsonl";
+  {
+    ElasticStore source;
+    Random rng(4242);
+    for (int batch = 0; batch < 3; ++batch) {
+      std::vector<Json> docs;
+      for (int i = 0; i < 150; ++i) docs.push_back(RandomDoc(rng, batch * 150 + i));
+      source.Bulk("ev", std::move(docs));
+    }
+    source.Refresh("ev");
+    ASSERT_TRUE(source.SaveIndex("ev", path).ok());
+  }
+  ElasticStoreOptions opts;
+  opts.segment_docs = 32;  // several sealed segments per sub-shard
+  ElasticStore store(opts);
+  ASSERT_TRUE(store.LoadIndex(path).ok());
+  // The reference reads the same snapshot rows, independently of the store.
+  ReferenceBackend reference;
+  {
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);  // header
+    std::vector<Json> docs;
+    while (std::getline(in, line)) docs.push_back(*Json::Parse(line));
+    reference.Bulk("ev", std::move(docs));
+    reference.Refresh("ev");
+  }
+  std::remove(path.c_str());
+  auto stats = store.Stats("ev");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->typed_rows, 0u);
+  EXPECT_EQ(stats->doc_count, 450u);
+  EXPECT_GT(stats->sealed_segments, 0u);
+
+  const std::vector<Query> queries = {
+      Query::Term("syscall", "read"),
+      Query::Term("tid", Json(103)),
+      Query::Terms("comm", {Json("postgres"), Json("fluent-bit")}),
+      Query::Range("ret", 0, 30'000),
+      Query::Prefix("file_path", "/data/db/wal-"),
+      Query::And({Query::Term("syscall", "write"),
+                  Query::Range("time_enter", 1'002'000, std::nullopt)}),
+      Query::Or({Query::Term("offset", "unknown"),
+                 Query::Prefix("file_path", "/data/db/sstable-1")}),
+  };
+  const auto check = [&](const std::string& round) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SearchRequest request;
+      request.query = queries[q];
+      request.sort = {{"duration_ns", false}};
+      request.size = 60;
+      auto got = store.Search("ev", request);
+      auto want = reference.Search("ev", request);
+      ASSERT_TRUE(got.ok() && want.ok()) << round << " query " << q;
+      EXPECT_GT(want->total, 0u) << round << " query " << q;
+      EXPECT_EQ(DumpResult(*got), DumpResult(*want))
+          << round << " query " << q;
+      EXPECT_EQ(*store.Count("ev", queries[q]),
+                *reference.Count("ev", queries[q]))
+          << round << " query " << q;
+    }
+  };
+  check("first");
+  const auto first = store.Stats("ev");
+  check("repeat");
+  const auto repeat = store.Stats("ev");
+  ASSERT_TRUE(first.ok() && repeat.ok());
+  EXPECT_GT(repeat->filter_cache_hits, first->filter_cache_hits);
+  EXPECT_EQ(repeat->filter_cache_misses, first->filter_cache_misses);
 }
 
 // ---- max_result_window (satellite: paging guard) ----------------------------
@@ -424,24 +521,48 @@ TEST(StoreOptionsTest, FromConfigParsesBackendSection) {
       "[backend]\n"
       "shards_per_index = 6\n"
       "query_threads = 3\n"
-      "doc_values = false\n"
-      "max_result_window = 500\n");
+      "max_result_window = 500\n"
+      "segment_docs = 1\n"
+      "filter_cache_entries = 0\n");
   ASSERT_TRUE(config.ok());
-  const ElasticStoreOptions options = ElasticStoreOptions::FromConfig(*config);
-  EXPECT_EQ(options.shards_per_index, 6u);
-  EXPECT_EQ(options.query_threads, 3u);
-  EXPECT_FALSE(options.doc_values);
-  EXPECT_EQ(options.max_result_window, 500u);
+  auto options = ElasticStoreOptions::FromConfig(*config);
+  ASSERT_TRUE(options.ok()) << options.status().message();
+  EXPECT_EQ(options->shards_per_index, 6u);
+  EXPECT_EQ(options->query_threads, 3u);
+  EXPECT_EQ(options->max_result_window, 500u);
+  EXPECT_EQ(options->segment_docs, 1u);
+  EXPECT_EQ(options->filter_cache_entries, 0u);
 }
 
 TEST(StoreOptionsTest, FromConfigDefaults) {
   auto config = Config::ParseString("");
   ASSERT_TRUE(config.ok());
-  const ElasticStoreOptions options = ElasticStoreOptions::FromConfig(*config);
-  EXPECT_EQ(options.shards_per_index, 4u);
-  EXPECT_EQ(options.query_threads, 0u);
-  EXPECT_TRUE(options.doc_values);
-  EXPECT_EQ(options.max_result_window, 10'000u);
+  auto options = ElasticStoreOptions::FromConfig(*config);
+  ASSERT_TRUE(options.ok());
+  EXPECT_EQ(options->shards_per_index, 4u);
+  EXPECT_EQ(options->query_threads, 0u);
+  EXPECT_EQ(options->max_result_window, 10'000u);
+  EXPECT_EQ(options->segment_docs, ElasticStoreOptions{}.segment_docs);
+  EXPECT_EQ(options->filter_cache_entries,
+            ElasticStoreOptions{}.filter_cache_entries);
+}
+
+TEST(StoreOptionsTest, FromConfigRejectsOutOfRangeValues) {
+  for (const auto& [line, key] :
+       {std::pair{"segment_docs = 0", "backend.segment_docs"},
+        std::pair{"segment_docs = -4", "backend.segment_docs"},
+        std::pair{"shards_per_index = 0", "backend.shards_per_index"},
+        std::pair{"max_result_window = 0", "backend.max_result_window"},
+        std::pair{"query_threads = -1", "backend.query_threads"},
+        std::pair{"filter_cache_entries = -1",
+                  "backend.filter_cache_entries"}}) {
+    auto config = Config::ParseString(std::string("[backend]\n") + line + "\n");
+    ASSERT_TRUE(config.ok()) << line;
+    auto options = ElasticStoreOptions::FromConfig(*config);
+    ASSERT_FALSE(options.ok()) << line;
+    EXPECT_NE(options.status().message().find(key), std::string::npos)
+        << options.status().message();
+  }
 }
 
 // ---- columnar stats counters ------------------------------------------------
@@ -464,8 +585,8 @@ TEST(ColumnarStatsTest, ReportsColumnBuildAndCacheTraffic) {
   EXPECT_GT(stats->column_build_ns, 0u);
   EXPECT_EQ(stats->filter_cache_hits, 0u);
 
-  // A scan-path predicate (Not has no index) computes a bitmap per sub-shard
-  // on the first run and reuses it afterwards.
+  // A leaf predicate computes a bitmap per segment on the first run and
+  // reuses it afterwards.
   const Query scan = Query::Not(Query::Term("syscall", "read"));
   ASSERT_TRUE(store.Count("st", scan).ok());
   auto after_first = store.Stats("st");
@@ -485,24 +606,6 @@ TEST(ColumnarStatsTest, ReportsColumnBuildAndCacheTraffic) {
   auto after_refresh = store.Stats("st");
   EXPECT_GT(after_refresh->filter_cache_misses,
             after_repeat->filter_cache_misses);
-}
-
-// The serial engine never touches columns: doc_values=false must report no
-// column state at all (it is the untouched oracle).
-TEST(ColumnarStatsTest, OracleEngineBuildsNoColumns) {
-  ElasticStoreOptions options;
-  options.doc_values = false;
-  ElasticStore store(options);
-  Json d = Json::MakeObject();
-  d.Set("syscall", "read");
-  store.Bulk("st", {std::move(d)});
-  store.Refresh("st");
-  ASSERT_TRUE(store.Count("st", Query::Not(Query::Exists("x"))).ok());
-  auto stats = store.Stats("st");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->doc_value_fields, 0u);
-  EXPECT_EQ(stats->column_build_ns, 0u);
-  EXPECT_EQ(stats->filter_cache_hits + stats->filter_cache_misses, 0u);
 }
 
 }  // namespace

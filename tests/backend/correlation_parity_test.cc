@@ -5,11 +5,12 @@
 // rows to JSON. The JSON ingest route (backend.typed_ingest=false, the same
 // BulkWire calls) is the oracle: correlation stats, snapshots, full hit
 // dumps, counts and aggregations over file_path must be byte-identical
-// across corpus classes, shard counts, segment sizes (including the legacy
-// rebuild mode, 0) and query-thread counts — through first correlation,
-// re-correlation, tail growth, and a generic update after correlation.
-// Projected searches (SearchRequest::source) must equal the full hits with
-// members filtered, on both query engines and through the cluster router.
+// across corpus classes, shard counts, segment sizes (including one
+// never-sealed tail) and query-thread counts — through first correlation,
+// re-correlation, tail growth, and a generic update after correlation. The
+// JSON ReferenceBackend must agree with both. Projected searches
+// (SearchRequest::source) must equal the full hits with members filtered,
+// on the store, on the reference and through the cluster router.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "backend/correlation.h"
+#include "backend/reference_backend.h"
 #include "backend/store.h"
 #include "cluster/router.h"
 #include "trace/corpus.h"
@@ -196,7 +198,7 @@ std::string CheckProjections(const QueryBackend& backend,
 }
 
 // Everything observable about the correlated index, as one string.
-std::string Observe(ElasticStore& store) {
+std::string Observe(const QueryBackend& store) {
   std::string out;
   SearchRequest all;
   all.size = kMax;
@@ -254,6 +256,8 @@ void ExpectAllTyped(const ElasticStore& store, const std::string& label) {
 
 // ---- the parameterized suite -------------------------------------------------
 
+// A segment size of 0 in the matrix stands for one never-sealed tail
+// (segment_docs = SIZE_MAX).
 using Params = std::tuple<trace::CorpusClass, std::size_t /*shards*/,
                           std::size_t /*segment_docs*/,
                           std::size_t /*query_threads*/>;
@@ -263,7 +267,8 @@ class CorrelationParityTest : public ::testing::TestWithParam<Params> {
   ElasticStoreOptions Options(bool typed) const {
     ElasticStoreOptions opts;
     opts.shards_per_index = std::get<1>(GetParam());
-    opts.segment_docs = std::get<2>(GetParam());
+    opts.segment_docs =
+        std::get<2>(GetParam()) == 0 ? kMax : std::get<2>(GetParam());
     opts.query_threads = typed ? std::get<3>(GetParam()) : 0;
     opts.typed_ingest = typed;
     return opts;
@@ -274,20 +279,18 @@ TEST_P(CorrelationParityTest, TypedCorrelationMatchesJsonRoute) {
   const trace::CorpusClass cls = std::get<0>(GetParam());
   ElasticStore typed(Options(true));
   ElasticStore oracle(Options(false));
-  ElasticStoreOptions serial_opts = Options(false);
-  serial_opts.doc_values = false;
-  ElasticStore serial(serial_opts);
-  std::vector<ElasticStore*> stores = {&typed, &oracle, &serial};
+  ReferenceBackend reference;
+  std::vector<QueryBackend*> stores = {&typed, &oracle, &reference};
 
   const auto events = TaggedCorpus(cls, 480, 31);
   const auto orphans = OrphanEvents(cls, 40);
   const auto ingest = [&](const std::vector<tracer::WireEvent>& batch) {
-    for (ElasticStore* store : stores) {
-      store->BulkWire(kIndex, kSession, batch);
-    }
+    typed.BulkWire(kIndex, kSession, batch);
+    oracle.BulkWire(kIndex, kSession, batch);
+    reference.BulkWire(kIndex, kSession, batch);
   };
   const auto refresh = [&] {
-    for (ElasticStore* store : stores) store->Refresh(kIndex);
+    for (QueryBackend* store : stores) store->Refresh(kIndex);
   };
   // Orphans first: with small segments, the leading segments hold tagged
   // rows none of which can resolve.
@@ -301,7 +304,7 @@ TEST_P(CorrelationParityTest, TypedCorrelationMatchesJsonRoute) {
   const auto correlate = [&](const std::string& label) {
     std::vector<CorrelationStats> runs;
     std::vector<FilePathUpdate::Table> tables;
-    for (ElasticStore* store : stores) {
+    for (QueryBackend* store : stores) {
       FilePathCorrelator correlator(store);
       auto stats = correlator.Run(kIndex);
       EXPECT_TRUE(stats.ok()) << label;
@@ -317,12 +320,13 @@ TEST_P(CorrelationParityTest, TypedCorrelationMatchesJsonRoute) {
   const auto expect_parity = [&](const std::string& label) {
     const std::string want = Observe(oracle);
     EXPECT_EQ(Observe(typed), want) << label;
-    EXPECT_EQ(Observe(serial), want) << label;
+    EXPECT_EQ(Observe(reference), want) << label;
     const std::string snapshot = Snapshot(oracle, "oracle");
     EXPECT_EQ(Snapshot(typed, "typed"), snapshot) << label;
     const std::string projected = CheckProjections(oracle, label + " oracle");
     EXPECT_EQ(CheckProjections(typed, label + " typed"), projected) << label;
-    EXPECT_EQ(CheckProjections(serial, label + " serial"), projected) << label;
+    EXPECT_EQ(CheckProjections(reference, label + " reference"), projected)
+        << label;
   };
 
   // Parity before any correlation; this also warms every segment's filter
@@ -355,7 +359,7 @@ TEST_P(CorrelationParityTest, TypedCorrelationMatchesJsonRoute) {
     return true;
   };
   std::vector<std::size_t> modified;
-  for (ElasticStore* store : stores) {
+  for (QueryBackend* store : stores) {
     auto n = store->UpdateByQuery(
         kIndex, Query::And({Query::Exists("file_path"),
                             Query::Range("ret", 1, std::nullopt)}),

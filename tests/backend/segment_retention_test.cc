@@ -5,8 +5,8 @@
 //   segmented — sealed segments + filter-bitmap cache (the production path)
 //   nocache   — same segments, backend.filter_cache_entries=0: every bitmap
 //               recomputed from the columns on every query
-//   rebuild   — backend.segment_docs=0: the legacy rebuild-everything mode
-//   json      — backend.doc_values=false: the JSON query engine oracle
+//   unsealed  — backend.segment_docs=SIZE_MAX: one tail that never seals
+//   json      — the JSON ReferenceBackend (tests/backend/reference_backend.h)
 //
 // After every read op the four answers must be byte-identical
 // (ColumnarParityTest discipline: DumpResult/DumpAgg string equality), which
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/reference_backend.h"
 #include "backend/store.h"
 #include "common/random.h"
 #include "tracer/wire.h"
@@ -103,7 +104,8 @@ tracer::WireEvent MakeWire(Random& rng, int i) {
 // The read mix: column range count, scan-path Not/Exists count, prefix
 // count, sorted window search, filtered terms agg with a stats sub-agg.
 // Each returns its dump; equality across stores is asserted per op.
-std::string ReadOp(ElasticStore& store, std::size_t which, int horizon) {
+std::string ReadOp(const QueryBackend& store, std::size_t which,
+                   int horizon) {
   switch (which % 5) {
     case 0: {
       auto count = store.Count(
@@ -150,21 +152,18 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
     ElasticStoreOptions nocache = segmented;
     nocache.filter_cache_entries = 0;
 
-    ElasticStoreOptions rebuild = segmented;
-    rebuild.segment_docs = 0;
-
-    ElasticStoreOptions json;
-    json.shards_per_index = 3;
-    json.doc_values = false;
-    json.typed_ingest = false;
+    ElasticStoreOptions unsealed = segmented;
+    unsealed.segment_docs = std::numeric_limits<std::size_t>::max();
 
     ElasticStore segmented_store(segmented);
     ElasticStore nocache_store(nocache);
-    ElasticStore rebuild_store(rebuild);
-    ElasticStore json_store(json);
-    ElasticStore* stores[] = {&segmented_store, &nocache_store, &rebuild_store,
-                              &json_store};
-    static const char* kNames[] = {"segmented", "nocache", "rebuild", "json"};
+    ElasticStore unsealed_store(unsealed);
+    ReferenceBackend json_store;
+    ElasticStore* stores[] = {&segmented_store, &nocache_store,
+                              &unsealed_store};
+    QueryBackend* backends[] = {&segmented_store, &nocache_store,
+                                &unsealed_store, &json_store};
+    static const char* kNames[] = {"segmented", "nocache", "unsealed", "json"};
 
     Random rng(1234 + static_cast<std::uint64_t>(segment_docs));
     int docnum = 0;
@@ -182,13 +181,15 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
         for (ElasticStore* store : stores) {
           store->BulkWire(kIndex, kSession, std::vector(batch));
         }
+        json_store.BulkWire(kIndex, kSession, batch);
         docnum += batch_size;
       } else if (op < 6) {
         for (ElasticStore* store : stores) store->Refresh(kIndex);
+        json_store.Refresh(kIndex);
       } else if (op == 6) {
         // Update-by-query rewrites rows inside sealed segments in place;
         // only the touched blocks may drop their bitmaps.
-        for (ElasticStore* store : stores) {
+        for (QueryBackend* store : backends) {
           auto updated = store->UpdateByQuery(
               kIndex, Query::Term("syscall", "fsync"), [](Json& doc) {
                 if (doc.Has("correlated")) return false;
@@ -200,9 +201,9 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
       } else {
         ++reads;
         const std::size_t which = rng.Uniform(5);
-        const std::string expected = ReadOp(*stores[0], which, docnum);
+        const std::string expected = ReadOp(*backends[0], which, docnum);
         for (std::size_t s = 1; s < 4; ++s) {
-          EXPECT_EQ(expected, ReadOp(*stores[s], which, docnum))
+          EXPECT_EQ(expected, ReadOp(*backends[s], which, docnum))
               << "read op " << which << " diverged: segmented vs "
               << kNames[s] << " at step " << step;
         }
@@ -212,6 +213,7 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
     // The interleaving may end on an unrefreshed bulk; drain it so the
     // final doc-count assertion sees the whole stream.
     for (ElasticStore* store : stores) store->Refresh(kIndex);
+    json_store.Refresh(kIndex);
 
     // The machinery under test must actually have engaged: blocks sealed,
     // bitmaps cached and re-used across the interleaved refreshes — and the
@@ -227,9 +229,11 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
     EXPECT_EQ(cold->filter_cache_hits, 0u);
     EXPECT_GT(cold->sealed_segments, 0u);
 
-    auto legacy = stores[2]->Stats(kIndex);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(legacy->sealed_segments, 0u);
+    auto unsealed_stats = stores[2]->Stats(kIndex);
+    ASSERT_TRUE(unsealed_stats.ok());
+    EXPECT_EQ(unsealed_stats->sealed_segments, 0u);
+    EXPECT_EQ(json_store.Stats(kIndex)->doc_count,
+              static_cast<std::size_t>(docnum));
   }
 }
 

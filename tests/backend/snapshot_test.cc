@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "backend/store.h"
 
@@ -19,6 +23,29 @@ class SnapshotTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(kPath); }
   static constexpr const char* kPath = "/tmp/dio_snapshot_test.jsonl";
+
+  // The snapshot file's lines (header first).
+  static std::vector<std::string> ReadLines() {
+    std::ifstream in(kPath);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  }
+  static void WriteLines(const std::vector<std::string>& lines) {
+    std::ofstream out(kPath, std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+  }
+  // Loads kPath into a fresh store and expects a rejection whose message
+  // contains `where`, with no index left behind.
+  static void ExpectRejected(const std::string& where) {
+    ElasticStore fresh;
+    auto loaded = fresh.LoadIndex(kPath);
+    ASSERT_FALSE(loaded.ok()) << where;
+    EXPECT_NE(loaded.status().message().find(where), std::string::npos)
+        << loaded.status().message();
+    EXPECT_TRUE(fresh.ListIndices().empty()) << where;
+  }
+
   ElasticStore store_;
 };
 
@@ -76,8 +103,53 @@ TEST_F(SnapshotTest, CorruptLineRollsBack) {
   std::fputs("{corrupt!!\n", f);
   std::fclose(f);
   ElasticStore fresh;
-  EXPECT_FALSE(fresh.LoadIndex(kPath).ok());
+  auto loaded = fresh.LoadIndex(kPath);
+  ASSERT_FALSE(loaded.ok());
+  // 1-based: header, one row, then the corrupt line.
+  EXPECT_NE(loaded.status().message().find(":3: corrupt snapshot line"),
+            std::string::npos)
+      << loaded.status().message();
   EXPECT_FALSE(fresh.HasIndex("roll"));  // no half-loaded index left behind
+}
+
+// A snapshot cut at a line boundary parses cleanly line by line; only the
+// header's row count can tell it is short.
+TEST_F(SnapshotTest, MissingLineIsRejected) {
+  store_.Bulk("cut", {Doc(1, "read"), Doc(2, "write"), Doc(3, "read")});
+  store_.Refresh("cut");
+  ASSERT_TRUE(store_.SaveIndex("cut", kPath).ok());
+  std::vector<std::string> lines = ReadLines();
+  ASSERT_EQ(lines.size(), 4u);
+  lines.pop_back();
+  WriteLines(lines);
+  ExpectRejected("ends after 2 of the header's 3 docs");
+}
+
+TEST_F(SnapshotTest, ExtraLineIsRejected) {
+  store_.Bulk("long", {Doc(1, "read"), Doc(2, "write")});
+  store_.Refresh("long");
+  ASSERT_TRUE(store_.SaveIndex("long", kPath).ok());
+  std::vector<std::string> lines = ReadLines();
+  ASSERT_EQ(lines.size(), 3u);
+  lines.push_back(lines.back());
+  WriteLines(lines);
+  ExpectRejected(":4: more rows than the header's 2 docs");
+}
+
+TEST_F(SnapshotTest, BadHeaderIsRejected) {
+  const std::string row = Doc(1, "read").Dump();
+  for (const std::string& header :
+       {std::string(R"({"dio_index_snapshot":5,"docs":1})"),
+        std::string(R"({"dio_index_snapshot":"","docs":1})"),
+        std::string(R"({"dio_index_snapshot":"h"})"),
+        std::string(R"({"dio_index_snapshot":"h","docs":"1"})"),
+        std::string(R"({"dio_index_snapshot":"h","docs":1.5})"),
+        std::string(R"({"dio_index_snapshot":"h","docs":-1})"),
+        std::string(R"(["dio_index_snapshot"])"), std::string("{oops")}) {
+    SCOPED_TRACE(header);
+    WriteLines({header, row});
+    ExpectRejected(std::string(kPath) + ":1:");
+  }
 }
 
 TEST_F(SnapshotTest, EmptyIndexRoundTrips) {

@@ -1,7 +1,7 @@
 // Refresh-vs-search hammer for the columnar engine. A writer thread streams
 // bulk batches and refreshes (and occasionally runs update-by-query) while
 // reader threads issue searches, counts, and aggregations against a store
-// with doc-values on and a query pool fanning sub-shards out in parallel.
+// with a query pool fanning sub-shards out in parallel.
 // Every reader must observe a consistent refresh generation: results are
 // internally coherent (hits sorted, totals match) and nothing crashes or
 // races. This file is also compiled into tsan_stress_test so the whole
@@ -38,7 +38,6 @@ TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
   options.query_threads = 2;
-  options.doc_values = true;
   ElasticStore store(options);
 
   constexpr int kBatches = 40;
@@ -149,41 +148,6 @@ TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->doc_count, kTotalDocs);
   EXPECT_GT(stats->doc_value_fields, 0u);
-}
-
-// Same interleaving with the serial JSON engine and no query pool: the
-// refresh lock alone must keep the oracle path race-free too.
-TEST(StoreConcurrencyTest, SerialEngineHammer) {
-  ElasticStoreOptions options;
-  options.shards_per_index = 3;
-  options.query_threads = 0;
-  options.doc_values = false;
-  ElasticStore store(options);
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    for (int i = 0; i < 200; ++i) {
-      store.Bulk("s", {Event(i)});
-      if (i % 5 == 4) store.Refresh("s");
-    }
-    store.Refresh("s");
-    stop.store(true);
-  });
-  std::thread reader([&] {
-    std::uint64_t iterations = 0;
-    while (!stop.load(std::memory_order_acquire) && iterations < 20'000) {
-      ++iterations;
-      std::this_thread::yield();
-      if (!store.HasIndex("s")) continue;
-      auto count = store.Count("s", Query::Term("syscall", "write"));
-      if (count.ok()) {
-        EXPECT_LE(*count, 67u);
-      }
-    }
-  });
-  writer.join();
-  reader.join();
-  EXPECT_EQ(*store.Count("s", Query::MatchAll()), 200u);
 }
 
 // Off-lock staged-refresh hammer: typed wire ingest with a tiny

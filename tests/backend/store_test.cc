@@ -187,7 +187,10 @@ TEST_F(StoreTest, CountMatchesSearchTotal) {
   EXPECT_EQ(*store_.Count("cnt", q), store_.Search("cnt", request)->total);
 }
 
-// Property: index-accelerated query results equal brute-force evaluation.
+// Property: the column scan (one CompiledQuery per segment, served from
+// the segment's columns and bitmap cache) counts exactly the documents that
+// brute-force Query::Matches accepts. The test name predates the removal of
+// the postings candidates; the scan is now the only path.
 class StoreQueryEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StoreQueryEquivalence, CandidatesAgreeWithScan) {

@@ -466,14 +466,14 @@ TEST(TypedIngestOptionsTest, FromConfigParsesKnobs) {
       "typed_ingest = false\n"
       "simd_kernels = false\n");
   ASSERT_TRUE(config.ok());
-  const ElasticStoreOptions options = ElasticStoreOptions::FromConfig(*config);
+  const ElasticStoreOptions options = *ElasticStoreOptions::FromConfig(*config);
   EXPECT_FALSE(options.typed_ingest);
   EXPECT_FALSE(options.simd_kernels);
 
   auto defaults = Config::ParseString("");
   ASSERT_TRUE(defaults.ok());
   const ElasticStoreOptions default_options =
-      ElasticStoreOptions::FromConfig(*defaults);
+      *ElasticStoreOptions::FromConfig(*defaults);
   EXPECT_TRUE(default_options.typed_ingest);
   EXPECT_TRUE(default_options.simd_kernels);
 }

@@ -405,6 +405,16 @@ ack = all
   auto bad = Config::ParseString("[cluster]\nack = eventually\n");
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(BuildBackendTier(*bad).ok());
+  // So does an out-of-range [backend] value, for either tier.
+  for (const char* text : {"[backend]\nsegment_docs = 0\n",
+                           "[backend]\nshards_per_index = 0\n"
+                           "[cluster]\nnodes = 2\n"}) {
+    auto bad_store = Config::ParseString(text);
+    ASSERT_TRUE(bad_store.ok());
+    auto failed = BuildBackendTier(*bad_store);
+    ASSERT_FALSE(failed.ok()) << text;
+    EXPECT_NE(failed.status().message().find("backend."), std::string::npos);
+  }
 }
 
 TEST_F(ServiceTest, DestructorStopsLiveSessions) {
