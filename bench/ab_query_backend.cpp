@@ -8,7 +8,16 @@
 // stores that differ only in backend.query_threads — typed doc-value columns
 // plus cached filter bitmaps, sub-shards evaluated on the calling thread or
 // fanned out on a query pool — then times an analyst's query mix against
-// each. Emits BENCH_ab_query_backend.json.
+// each.
+//
+// A second phase, `panels`, times the four dashboard aggregations of
+// viz::Dashboards on their own (terms(syscall), terms(syscall)>stats,
+// terms(comm)>date_histogram, prefix(comm) + date_histogram>percentiles) and
+// reports each as ns per indexed row, best of 15 rounds, at 80k and 400k
+// rows (at 20k rows for a smaller run, where the per-call cost would swamp
+// the per-row cost at a smoke-sized event count). Its checksum hashes
+// every result's full dump, so two builds that report the same checksum
+// returned byte-identical aggregations. Emits BENCH_ab_query_backend.json.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -187,6 +196,76 @@ EngineRun RunEngine(std::size_t threads, std::size_t docs, int rounds) {
   return run;
 }
 
+// FNV-1a over an aggregation result's full dump (keys, counts, metrics,
+// sub-aggregations).
+void HashAgg(const backend::AggResult& agg, std::uint64_t* hash) {
+  const auto mix = [hash](const std::string& text) {
+    for (const unsigned char c : text) {
+      *hash = (*hash ^ c) * 0x100000001b3ULL;
+    }
+  };
+  mix(agg.metrics.Dump());
+  for (const backend::AggBucket& bucket : agg.buckets) {
+    mix(bucket.key.Dump());
+    mix(std::to_string(bucket.doc_count));
+    for (const auto& [name, sub] : bucket.sub) {
+      mix(name);
+      HashAgg(sub, hash);
+    }
+  }
+}
+
+struct PanelsRun {
+  std::size_t rows = 0;
+  double ns_per_row[4] = {};  // in kPanelNames order
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+};
+
+constexpr const char* kPanelNames[] = {"terms", "terms_stats", "timeline",
+                                       "latency"};
+
+PanelsRun RunPanels(std::size_t rows) {
+  constexpr int kRounds = 15;
+  ElasticStoreOptions options;
+  options.shards_per_index = 4;
+  ElasticStore store(options);
+  Fill(store, rows);
+  const auto interval = static_cast<std::int64_t>(rows) * 13 / 20 + 1;
+  struct Panel {
+    Query query;
+    Aggregation agg;
+  };
+  const Panel panels[] = {
+      {Query::MatchAll(), Aggregation::Terms("syscall")},
+      {Query::MatchAll(),
+       Aggregation::Terms("syscall").SubAgg(
+           "latency", Aggregation::Stats("duration_ns"))},
+      {Query::MatchAll(),
+       Aggregation::Terms("comm").SubAgg(
+           "over_time", Aggregation::DateHistogram("time_enter", interval))},
+      {Query::Prefix("comm", "rocksdb"),
+       Aggregation::DateHistogram("time_enter", interval)
+           .SubAgg("lat", Aggregation::Percentiles("duration_ns", {99.0}))},
+  };
+  PanelsRun run;
+  run.rows = rows;
+  for (std::size_t p = 0; p < 4; ++p) {
+    double best_ms = 0.0;
+    for (int r = 0; r <= kRounds; ++r) {  // round 0 warms the caches
+      const Nanos t0 = SteadyClock::Instance()->NowNanos();
+      auto result = store.Aggregate(kIndex, panels[p].query, panels[p].agg);
+      const double ms = MsSince(t0);
+      if (r == 0) {
+        if (result.ok()) HashAgg(*result, &run.checksum);
+        continue;
+      }
+      if (r == 1 || ms < best_ms) best_ms = ms;
+    }
+    run.ns_per_row[p] = best_ms * 1e6 / static_cast<double>(rows);
+  }
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -239,6 +318,33 @@ int main(int argc, char** argv) {
     row.Set("column_build_ms", run.column_build_ms);
     row.Set("checksum", static_cast<std::int64_t>(run.checksum));
     report.AddRow(std::move(row));
+  }
+
+  std::printf("\n%-8s %-10s %-12s %-12s %-12s %-12s %-12s %s\n", "phase",
+              "rows", "terms", "terms_stats", "timeline", "latency",
+              "total", "checksum (ns/row per panel)");
+  const std::vector<std::size_t> panel_rows =
+      docs >= 80'000 ? std::vector<std::size_t>{80'000, 400'000}
+                     : std::vector<std::size_t>{20'000};
+  for (const std::size_t rows : panel_rows) {
+    const PanelsRun panels = RunPanels(rows);
+    double total = 0.0;
+    Json row = Json::MakeObject();
+    row.Set("phase", "panels");
+    row.Set("rows", static_cast<std::int64_t>(rows));
+    for (std::size_t p = 0; p < 4; ++p) {
+      row.Set(std::string(kPanelNames[p]) + "_ns_per_row",
+              panels.ns_per_row[p]);
+      total += panels.ns_per_row[p];
+    }
+    row.Set("panels_ns_per_row", total);
+    row.Set("checksum", static_cast<std::int64_t>(panels.checksum));
+    report.AddRow(std::move(row));
+    std::printf("%-8s %-10zu %-12.1f %-12.1f %-12.1f %-12.1f %-12.1f "
+                "%016llx\n",
+                "panels", rows, panels.ns_per_row[0], panels.ns_per_row[1],
+                panels.ns_per_row[2], panels.ns_per_row[3], total,
+                static_cast<unsigned long long>(panels.checksum));
   }
   report.Write();
 

@@ -8,7 +8,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/doc_values.h"
@@ -32,16 +34,23 @@ struct AggResult {
   Json metrics = Json::MakeObject();
 };
 
-// Mergeable intermediate state for distributed aggregation: each shard runs
-// ExecutePartial / ExecuteColumnarPartial over its local matches, the
-// partials merge in shard order, and FinalizePartial produces what Execute
-// returns over the concatenated match set. Every combine step is exact for
-// integer-valued fields (bucket counts, min/max, sorted percentile values);
-// only the stats `sum` reassociates floating-point addition, which can
-// drift by an ulp from single-pass execution on non-integer data.
+// Mergeable intermediate state. Every producer yields one: the JSON
+// reference (ExecutePartial over documents), the store (one CollectSegment
+// per segment, merged segment by segment, then shard by shard), and the
+// cluster router (one closed store partial per logical shard). Partials
+// merge in any grouping with MergePartial, and FinalizePartial orders the
+// buckets, truncates terms and computes the metrics once. Counts, keys,
+// min/max and percentile values combine exactly; only the stats `sum` of
+// two closed partials reassociates floating-point addition, which can drift
+// by an ulp on non-integer data.
 struct AggPartial {
   struct Bucket {
     Json key;
+    // Docid the terms key was read from. A merge keeps the key with the
+    // smaller one, so a bucket's key is the value at its first matching
+    // docid even when distinct doubles share a GroupKey. Closed partials
+    // hold 0 here, and a tie keeps the earlier partial's key.
+    std::uint64_t first_doc = 0;
     std::int64_t doc_count = 0;
     // One partial per sub-aggregation, aligned with Aggregation::subs().
     std::vector<AggPartial> subs;
@@ -50,7 +59,12 @@ struct AggPartial {
   std::map<std::int64_t, Bucket> histo;  // k(Date)Histogram: start -> bucket
   std::int64_t count = 0;                // kStats
   double sum = 0, min = 0, max = 0;      // kStats
-  std::vector<double> values;            // kPercentiles, kept sorted
+  // kStats while a store collects (open partials; ClosePartial clears both):
+  // Σ|v| over the integer values, capped at 2^53, where the cap also marks
+  // a double; and the (docid, value) pairs of a docid-order collection.
+  std::uint64_t magnitude = 0;
+  std::vector<std::pair<std::uint64_t, double>> ordered;
+  std::vector<double> values;  // kPercentiles, in no particular order
 };
 
 class Aggregation {
@@ -90,40 +104,53 @@ class Aggregation {
   static Expected<Aggregation> FromJson(const Json& dsl);
   static Expected<Aggregation> FromJsonText(std::string_view text);
 
-  // Executes against a set of documents (pointers remain owned by caller).
+  // Executes against a set of documents (pointers remain owned by caller):
+  // FinalizePartial(ExecutePartial(docs)).
   [[nodiscard]] AggResult Execute(
       const std::vector<const Json*>& docs) const;
 
-  // Streaming columnar path: accumulates over the source's column slices
-  // instead of per-doc Json. Returns exactly what Execute returns for the
-  // same matched set, in the same bucket order (the slices are gathered in
-  // docid order, which also keeps float summation order identical).
-  [[nodiscard]] AggResult ExecuteColumnar(const AggSource& source) const;
-
-  // Distributed scatter half: same grouping and accumulation order as
-  // Execute / ExecuteColumnar, but returns the mergeable partial instead of
-  // a finalized result. Terms truncation (`size`) and bucket ordering are
-  // deferred to FinalizePartial so per-shard partials stay lossless.
+  // The JSON reference: groups with Json::Find per document and returns a
+  // closed partial. Terms truncation (`size`) and bucket ordering are
+  // deferred to FinalizePartial so partials stay lossless.
   [[nodiscard]] AggPartial ExecutePartial(
       const std::vector<const Json*>& docs) const;
-  [[nodiscard]] AggPartial ExecuteColumnarPartial(const AggSource& source) const;
 
-  // Folds `from` into `into`, in caller-chosen (shard) order. Merging into a
-  // default-constructed partial copies `from`.
+  // One segment's open partial, read straight off its columns in one pass
+  // over the set bits of `matched`: terms count on dictionary ordinals,
+  // histograms on dense bin ranges, sub-aggregations per owning bucket.
+  // `docs` are the segment's JSON rows (read only for kOther values); row r
+  // has docid doc_base + r * doc_stride. Without `docid_order`, stats sum
+  // integers exactly; with it, stats keep (docid, value) pairs so that
+  // ClosePartial can sum in docid order.
+  [[nodiscard]] AggPartial CollectSegment(const ColumnSet& columns,
+                                          std::span<const Json> docs,
+                                          const FilterBitmap& matched,
+                                          std::uint64_t doc_base,
+                                          std::uint64_t doc_stride,
+                                          bool docid_order) const;
+
+  // Closes the merge of one store's segment partials into what the JSON
+  // reference returns over the same docid-ordered rows: sums docid-ordered
+  // stats values in docid order and zeroes first_doc, so closed partials of
+  // different stores merge first-come. Returns false, leaving `partial`
+  // untouched, when a stats sum collected without docid order may differ
+  // from the docid-order double sum (a double value, or Σ|v| ≥ 2^53); the
+  // caller then collects again with docid_order.
+  [[nodiscard]] bool ClosePartial(AggPartial& partial) const;
+
+  // Folds `from` into `into`. Merging into a default-constructed partial
+  // copies `from`.
   void MergePartial(AggPartial& into, AggPartial&& from) const;
 
-  // Gather half: bucket ordering, terms truncation, and metric math exactly
-  // as Execute performs them over the full match set.
+  // Bucket ordering (std::map over GroupKey, then a stable sort by count),
+  // terms truncation, and metric math over the merged partial.
   [[nodiscard]] AggResult FinalizePartial(AggPartial&& partial) const;
 
  private:
   explicit Aggregation(Kind kind) : kind_(kind) {}
 
-  AggResult ExecuteColumnar(const AggSource& source,
-                            const std::vector<std::size_t>& rows) const;
-
-  AggPartial ExecuteColumnarPartial(const AggSource& source,
-                                    const std::vector<std::size_t>& rows) const;
+  [[nodiscard]] bool NeedsDocidOrder(const AggPartial& partial) const;
+  void Close(AggPartial& partial) const;
 
   Kind kind_;
   std::string field_;

@@ -270,35 +270,4 @@ class CompiledQuery {
   Node root_;
 };
 
-// One field's values gathered for a matched result set, one entry per row in
-// docid order. This is what the streaming columnar aggregation path consumes
-// instead of calling Json::Find per document.
-struct ColumnSlice {
-  std::vector<std::uint8_t> kinds;       // ValueKind per row
-  std::vector<std::int64_t> ints;        // kInt: value; kBool: 0/1
-  std::vector<double> dbls;              // numbers: Json::as_double()
-  std::vector<std::string_view> strs;    // kString: view into a shard dict
-  std::vector<const Json*> raws;         // kOther: the member Json
-
-  [[nodiscard]] ValueKind kind(std::size_t row) const {
-    return static_cast<ValueKind>(kinds[row]);
-  }
-  [[nodiscard]] bool is_number(std::size_t row) const {
-    return kind(row) == ValueKind::kInt || kind(row) == ValueKind::kDouble;
-  }
-};
-
-// Columnar view of a matched result set, handed by the store to
-// Aggregation::ExecuteColumnar. Slices are gathered lazily per field and
-// cached for the lifetime of the source (one aggregation tree), so nested
-// sub-aggregations over the same field gather once. Not thread-safe: one
-// aggregation executes on one thread.
-class AggSource {
- public:
-  virtual ~AggSource() = default;
-  [[nodiscard]] virtual std::size_t rows() const = 0;
-  [[nodiscard]] virtual const ColumnSlice& Slice(
-      const std::string& field) const = 0;
-};
-
 }  // namespace dio::backend

@@ -129,14 +129,24 @@ void NonMissingMask(const std::uint8_t* kinds, std::size_t n,
 
 void HistogramBins(const std::int64_t* ints, const std::uint8_t* kinds,
                    std::size_t n, std::int64_t interval, std::int64_t* out) {
+  const auto width = static_cast<std::uint64_t>(interval);
+  std::int64_t last = 0;  // the previous row's bucket (0 is 0's bucket)
   for (std::size_t i = 0; i < n; ++i) {
     const bool is_number = kinds[i] == kInt || kinds[i] == kDouble;
     const std::int64_t v = is_number ? ints[i] : 0;
+    // Rows in time order mostly fall in the previous row's bucket; a value
+    // in [last, last + interval) has that bucket, so the divisions run once
+    // per bucket change. Unsigned arithmetic: the difference may wrap.
+    if (static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(last) <
+        width) {
+      out[i] = last;
+      continue;
+    }
     // Truncating division, shifted down one bucket for negative values that
-    // are not exactly on a boundary — floor-division bucketing, branch-free.
+    // are not exactly on a boundary — floor-division bucketing.
     std::int64_t bucket = v / interval * interval;
     bucket -= static_cast<std::int64_t>(v < 0 && v % interval != 0) * interval;
-    out[i] = bucket;
+    out[i] = last = bucket;
   }
 }
 

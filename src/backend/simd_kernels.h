@@ -6,9 +6,10 @@
 // contiguous memory with no per-element branches on shared state. The
 // kernels here write those loops in the shape auto-vectorizers reliably
 // turn into vector code: word-at-a-time bitwise ops, 4–8× unrolled compare
-// loops accumulating into a bit mask, and branch-free bucket arithmetic.
-// Every kernel has exactly the semantics of the scalar loop it replaces
-// (CompiledQuery::MatchesNode / Aggregation::ExecuteColumnar), so routing a
+// loops accumulating into a bit mask, and bucket arithmetic that divides
+// once per bucket change. Every kernel has exactly the semantics of the
+// scalar loop it replaces (CompiledQuery::MatchesNode / the histogram
+// collector's floor-division bucketing in aggregation.cc), so routing a
 // predicate through a kernel can never change a query result — only its
 // cost. `backend.simd_kernels=false` keeps the original scalar loops as the
 // parity/debug fallback.
@@ -63,8 +64,10 @@ void NonMissingMask(const std::uint8_t* kinds, std::size_t n,
 // toward-negative-infinity adjustment the histogram aggregation applies
 // ((v/interval)*interval, minus interval when v < 0 and v % interval != 0).
 // Rows whose kind is not a number get out[i] = 0; callers skip them by
-// re-checking kinds, so the fill value never leaks into a bucket.
-// `interval` must be > 0 (enforced by Aggregation parsing).
+// re-checking kinds, so the fill value never leaks into a bucket. A row
+// whose value falls in the previous row's bucket reuses it without dividing
+// (time-ordered rows mostly do). `interval` must be > 0 (enforced by
+// Aggregation parsing).
 void HistogramBins(const std::int64_t* ints, const std::uint8_t* kinds,
                    std::size_t n, std::int64_t interval, std::int64_t* out);
 

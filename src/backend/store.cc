@@ -18,16 +18,18 @@ namespace dio::backend {
 
 namespace {
 
-// One integer `[backend]` key, rejected below `min` with an error naming it.
-Expected<std::size_t> GetCount(const Config& config, const std::string& key,
-                               std::size_t fallback, std::int64_t min) {
-  const std::int64_t value =
-      config.GetInt(key, static_cast<std::int64_t>(fallback));
-  if (value < min) {
-    return InvalidArgument(key + " must be >= " + std::to_string(min) +
-                           " (got " + std::to_string(value) + ")");
-  }
-  return static_cast<std::size_t>(value);
+// The JSON rows behind one segment of a sub-shard.
+std::span<const Json> SegmentDocs(const std::vector<Json>& docs,
+                                  const ColumnSegment& segment) {
+  return {docs.data() + segment.base, segment.rows()};
+}
+
+// The segment's rows that match `query`, built from (and feeding) the
+// segment's bitmap cache.
+FilterBitmap SegmentMatches(const std::vector<Json>& docs,
+                            const ColumnSegment& segment, const Query& query) {
+  return CompiledQuery(query, segment.columns)
+      .Eval(SegmentDocs(docs, segment), &segment.cache);
 }
 
 }  // namespace
@@ -363,16 +365,12 @@ std::vector<DocId> ElasticStore::ScanShard(const SubShard& shard,
   // the tail is actually re-evaluated.
   std::vector<DocId> matches;
   for (const auto& segment : shard.segments.segments()) {
-    const CompiledQuery compiled(query, segment->columns);
-    const FilterBitmap bitmap = compiled.Eval(
-        std::span<const Json>(shard.docs.data() + segment->base,
-                              segment->rows()),
-        &segment->cache);
     const std::size_t base = segment->base;
-    bitmap.ForEachSet([&matches, &shard, base](std::size_t local) {
-      matches.push_back(static_cast<DocId>((base + local) * shard.stride +
-                                           shard.shard_index));
-    });
+    SegmentMatches(shard.docs, *segment, query)
+        .ForEachSet([&matches, &shard, base](std::size_t local) {
+          matches.push_back(static_cast<DocId>((base + local) * shard.stride +
+                                               shard.shard_index));
+        });
   }
   return matches;
 }
@@ -572,106 +570,21 @@ Expected<std::size_t> ElasticStore::Count(const std::string& index_name,
   RunPerShard(num_shards, [&](std::size_t s) {
     const SubShard& shard = *index->shards[s];
     std::shared_lock shard_lock(shard.mu);
-    counts[s] = ScanShard(shard, query).size();
+    for (const auto& segment : shard.segments.segments()) {
+      counts[s] += SegmentMatches(shard.docs, *segment, query).CountSet();
+    }
   });
   std::size_t total = 0;
   for (const std::size_t c : counts) total += c;
   return total;
 }
 
-namespace {
-
-// AggSource over a matched docid set: gathers one ColumnSlice per field from
-// the per-shard columns, falling back to the document only for non-scalar
-// members.
-class ShardedAggSource final : public AggSource {
- public:
-  struct ShardView {
-    const std::vector<Json>* docs = nullptr;
-    const SegmentedColumns* segments = nullptr;
-  };
-
-  ShardedAggSource(std::vector<ShardView> shards, std::vector<DocId> matches)
-      : shards_(std::move(shards)), matches_(std::move(matches)) {}
-
-  [[nodiscard]] std::size_t rows() const override { return matches_.size(); }
-
-  [[nodiscard]] const ColumnSlice& Slice(
-      const std::string& field) const override {
-    auto [it, inserted] = cache_.try_emplace(field);
-    if (!inserted) return it->second;
-    ColumnSlice& slice = it->second;
-    const std::size_t n = matches_.size();
-    const std::size_t num_shards = shards_.size();
-    slice.kinds.assign(n, static_cast<std::uint8_t>(ValueKind::kMissing));
-    slice.ints.assign(n, 0);
-    slice.dbls.assign(n, 0.0);
-    slice.strs.assign(n, {});
-    slice.raws.assign(n, nullptr);
-    // The field's column resolved once per (shard, segment).
-    std::vector<std::vector<const DocValueColumn*>> cols(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const auto& segments = shards_[s].segments->segments();
-      cols[s].reserve(segments.size());
-      for (const auto& segment : segments) {
-        cols[s].push_back(segment->columns.Find(field));
-      }
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto id = static_cast<std::size_t>(matches_[r]);
-      const std::size_t s = id % num_shards;
-      const std::size_t pos = id / num_shards;
-      const SegmentedColumns& segments = *shards_[s].segments;
-      const std::size_t local = segments.LocalPos(pos);
-      const DocValueColumn* col = cols[s][segments.SegmentIndexFor(pos)];
-      if (col == nullptr) continue;
-      const ValueKind kind = col->kind(local);
-      slice.kinds[r] = static_cast<std::uint8_t>(kind);
-      switch (kind) {
-        case ValueKind::kInt:
-        case ValueKind::kDouble:
-          slice.ints[r] = col->ints[local];
-          slice.dbls[r] = col->dbls[local];
-          break;
-        case ValueKind::kString:
-          slice.strs[r] = col->str(local);
-          break;
-        case ValueKind::kBool:
-          slice.ints[r] = col->ints[local];
-          break;
-        case ValueKind::kOther:
-          slice.raws[r] = (*shards_[s].docs)[pos].Find(field);
-          break;
-        case ValueKind::kMissing:
-          break;
-      }
-    }
-    return slice;
-  }
-
- private:
-  std::vector<ShardView> shards_;
-  std::vector<DocId> matches_;
-  mutable std::map<std::string, ColumnSlice> cache_;
-};
-
-}  // namespace
-
 Expected<AggResult> ElasticStore::Aggregate(const std::string& index_name,
                                             const Query& query,
                                             const Aggregation& agg) const {
-  const std::shared_ptr<const Index> index = Find(index_name);
-  if (index == nullptr) return NotFound("no such index: " + index_name);
-  index->AwaitRefreshGate();
-  std::shared_lock refresh_lock(index->refresh_mu);
-  std::vector<DocId> matches = MatchingDocs(*index, query);
-  std::vector<ShardedAggSource::ShardView> views;
-  views.reserve(index->num_shards());
-  for (const auto& shard : index->shards) {
-    views.push_back({&shard->docs, &shard->segments});
-  }
-  const ShardedAggSource source(std::move(views), std::move(matches));
-  return agg.ExecuteColumnar(source);
+  auto partial = AggregatePartial(index_name, query, agg);
+  if (!partial.ok()) return partial.status();
+  return agg.FinalizePartial(std::move(*partial));
 }
 
 Expected<AggPartial> ElasticStore::AggregatePartial(
@@ -681,14 +594,37 @@ Expected<AggPartial> ElasticStore::AggregatePartial(
   if (index == nullptr) return NotFound("no such index: " + index_name);
   index->AwaitRefreshGate();
   std::shared_lock refresh_lock(index->refresh_mu);
-  std::vector<DocId> matches = MatchingDocs(*index, query);
-  std::vector<ShardedAggSource::ShardView> views;
-  views.reserve(index->num_shards());
-  for (const auto& shard : index->shards) {
-    views.push_back({&shard->docs, &shard->segments});
+  const std::size_t num_shards = index->num_shards();
+  // One partial per segment, merged segment by segment, then shard by shard.
+  const auto collect = [&](bool docid_order) {
+    std::vector<AggPartial> per_shard(num_shards);
+    RunPerShard(num_shards, [&](std::size_t s) {
+      const SubShard& shard = *index->shards[s];
+      std::shared_lock shard_lock(shard.mu);
+      for (const auto& segment : shard.segments.segments()) {
+        agg.MergePartial(
+            per_shard[s],
+            agg.CollectSegment(
+                segment->columns, SegmentDocs(shard.docs, *segment),
+                SegmentMatches(shard.docs, *segment, query),
+                segment->base * shard.stride + shard.shard_index,
+                shard.stride, docid_order));
+      }
+    });
+    AggPartial merged;
+    for (AggPartial& partial : per_shard) {
+      agg.MergePartial(merged, std::move(partial));
+    }
+    return merged;
+  };
+  // Integer stats sum exactly in any order; a stats field that turns out to
+  // need the docid-order double sum is collected again with its docids.
+  AggPartial partial = collect(false);
+  if (!agg.ClosePartial(partial)) {
+    partial = collect(true);
+    (void)agg.ClosePartial(partial);
   }
-  const ShardedAggSource source(std::move(views), std::move(matches));
-  return agg.ExecuteColumnarPartial(source);
+  return partial;
 }
 
 Expected<std::size_t> ElasticStore::UpdateByQuery(

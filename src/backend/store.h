@@ -134,10 +134,11 @@ class ElasticStore : public QueryBackend {
   [[nodiscard]] Expected<AggResult> Aggregate(
       const std::string& index, const Query& query,
       const Aggregation& agg) const override;
-  // Distributed-aggregation scatter half: the same matched set and
-  // accumulation order as Aggregate, but returns the mergeable partial so a
-  // cluster router can fold per-shard partials (Aggregation::MergePartial)
-  // and finalize once, instead of re-gathering every matched document.
+  // The closed partial behind Aggregate (which finalizes it): one
+  // Aggregation::CollectSegment per segment, merged segment by segment, then
+  // sub-shard by sub-shard. A cluster router folds these per logical shard
+  // (Aggregation::MergePartial) and finalizes once, instead of re-gathering
+  // every matched document.
   [[nodiscard]] Expected<AggPartial> AggregatePartial(
       const std::string& index, const Query& query,
       const Aggregation& agg) const;

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <limits>
 #include <queue>
+#include <tuple>
 #include <utility>
 
 namespace dio::cluster {
@@ -107,20 +108,17 @@ Expected<ClusterOptions> ClusterOptions::FromConfig(const Config& config) {
                   {"nodes", "replicas", "ack", "logical_shards",
                    "query_fanout", "query_threads", "log_retain_batches"});
   ClusterOptions opts;
-  opts.nodes = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, config.GetInt("cluster.nodes", static_cast<std::int64_t>(opts.nodes))));
-  opts.replicas = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config.GetInt("cluster.replicas",
-                       static_cast<std::int64_t>(opts.replicas))));
-  opts.logical_shards = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, config.GetInt("cluster.logical_shards",
-                       static_cast<std::int64_t>(opts.logical_shards))));
-  opts.query_threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config.GetInt("cluster.query_threads",
-                       static_cast<std::int64_t>(opts.query_threads))));
-  opts.log_retain_batches = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, config.GetInt("cluster.log_retain_batches",
-                       static_cast<std::int64_t>(opts.log_retain_batches))));
+  for (auto [key, field, min] :
+       {std::tuple{"cluster.nodes", &opts.nodes, 1},
+        std::tuple{"cluster.replicas", &opts.replicas, 0},
+        std::tuple{"cluster.logical_shards", &opts.logical_shards, 1},
+        std::tuple{"cluster.query_threads", &opts.query_threads, 0},
+        std::tuple{"cluster.log_retain_batches", &opts.log_retain_batches,
+                   0}}) {
+    auto value = GetCount(config, key, *field, min);
+    if (!value.ok()) return value.status();
+    *field = *value;
+  }
   if (config.Has("cluster.ack")) {
     auto ack = AckLevelFromString(config.GetString("cluster.ack"));
     if (!ack.ok()) return ack.status();

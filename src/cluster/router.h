@@ -121,7 +121,8 @@ struct ClusterOptions {
   // Parses cluster.{nodes,replicas,ack,logical_shards,query_fanout,
   // query_threads,log_retain_batches}, warning on unknown cluster.* keys
   // like Pipeline::Build does for transport.*. Fails on an unparseable ack
-  // level or fan-out mode.
+  // level or fan-out mode, and on nodes or logical_shards below 1 or a
+  // negative replicas, query_threads or log_retain_batches, naming the key.
   static Expected<ClusterOptions> FromConfig(const Config& config);
 };
 

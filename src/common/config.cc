@@ -125,4 +125,15 @@ std::vector<std::string> WarnUnknownKeys(
   return unknown;
 }
 
+Expected<std::size_t> GetCount(const Config& config, const std::string& key,
+                               std::size_t fallback, std::int64_t min) {
+  const std::int64_t value =
+      config.GetInt(key, static_cast<std::int64_t>(fallback));
+  if (value < min) {
+    return InvalidArgument(key + " must be >= " + std::to_string(min) +
+                           " (got " + std::to_string(value) + ")");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 }  // namespace dio

@@ -57,4 +57,9 @@ std::vector<std::string> WarnUnknownKeys(
     const Config& config, std::string_view section,
     std::initializer_list<std::string_view> known);
 
+// One integer count key: `fallback` when absent, and an InvalidArgument
+// naming the key when its value is below `min`.
+Expected<std::size_t> GetCount(const Config& config, const std::string& key,
+                               std::size_t fallback, std::int64_t min);
+
 }  // namespace dio

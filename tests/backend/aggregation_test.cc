@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dio::backend {
@@ -176,6 +177,58 @@ TEST(AggregationDslTest, RejectsMalformed) {
                    R"({"terms": {"field": "a"}, "aggs": {"x": {"nope": {}}}})")
                    .ok());
   EXPECT_FALSE(Aggregation::FromJsonText(R"({"aggs": {}})").ok());
+}
+
+// Out-of-range DSL values are rejected at parse time with an error that
+// names the offending value.
+TEST(AggregationDslTest, RejectsHostileValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"percentiles": {"field": "x", "percents": [150]}})", "150"},
+      {R"({"percentiles": {"field": "x", "percents": [-1]}})", "-1"},
+      {R"({"percentiles": {"field": "x", "percents": [50, "99"]}})", "\"99\""},
+      {R"({"percentiles": {"field": "x", "percents": [null]}})", "null"},
+      {R"({"percentiles": {"field": "x", "percents": 50}})", "50"},
+      {R"({"terms": {"field": "x", "size": -1}})", "-1"},
+      {R"({"terms": {"field": "x", "size": 2.5}})", "2.5"},
+      {R"({"terms": {"field": "x", "size": "3"}})", "\"3\""},
+      {R"({"terms": {"field": "x"}, "aggs": {"p": {"percentiles": {"field": "y", "percents": [101]}}}})",
+       "101"},
+  };
+  for (const auto& [text, value] : cases) {
+    auto agg = Aggregation::FromJsonText(text);
+    ASSERT_FALSE(agg.ok()) << text;
+    EXPECT_NE(agg.status().message().find(value), std::string::npos)
+        << text << " -> " << agg.status().message();
+  }
+  // The bounds themselves are valid.
+  auto edges = Aggregation::FromJsonText(
+      R"({"percentiles": {"field": "x", "percents": [0, 100]}})");
+  ASSERT_TRUE(edges.ok());
+  EXPECT_EQ(edges->percents(), (std::vector<double>{0.0, 100.0}));
+  auto all_terms =
+      Aggregation::FromJsonText(R"({"terms": {"field": "x", "size": 0}})");
+  ASSERT_TRUE(all_terms.ok());
+  EXPECT_EQ(all_terms->size(), 0u);
+}
+
+// The programmatic API skips the DSL checks: a percent outside [0, 100]
+// clamps to the nearest bound instead of reading past the values.
+TEST(AggregationTest, PercentilesClampOutOfRangePercents) {
+  const auto docs = MakeDocs();  // lat: 100, 200, 300, 1000, 1000
+  const AggResult result =
+      Aggregation::Percentiles("lat", {150.0, -5.0, 0.0, 100.0})
+          .Execute(Ptrs(docs));
+  EXPECT_DOUBLE_EQ(result.metrics.GetDouble(std::to_string(150.0)), 1000.0);
+  EXPECT_DOUBLE_EQ(result.metrics.GetDouble(std::to_string(-5.0)), 100.0);
+  EXPECT_DOUBLE_EQ(result.metrics.GetDouble(std::to_string(0.0)), 100.0);
+  EXPECT_DOUBLE_EQ(result.metrics.GetDouble(std::to_string(100.0)), 1000.0);
+  // One value answers every percent.
+  const std::vector<const Json*> one = {&docs[1]};
+  const AggResult single =
+      Aggregation::Percentiles("lat", {0.0, 50.0, 100.0}).Execute(one);
+  for (const double p : {0.0, 50.0, 100.0}) {
+    EXPECT_DOUBLE_EQ(single.metrics.GetDouble(std::to_string(p)), 200.0);
+  }
 }
 
 TEST(AggregationTest, DeepSubAggregationNesting) {

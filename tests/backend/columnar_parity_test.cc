@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "backend/reference_backend.h"
@@ -99,6 +100,17 @@ Json RandomDoc(Random& rng, int docnum) {
   } else if (rng.OneIn(2)) {
     doc.Set("offset", "unknown");
   }
+  // Fields that draw nothing from rng, so the rest of the corpus is the same
+  // with or without them:
+  //  * ratio: three groups of seven distinct doubles, each group sharing one
+  //    GroupKey (std::to_string keeps 6 decimals), spread over sub-shards;
+  //  * big: integers whose Σ|v| passes 2^53, where an exact integer sum and
+  //    the docid-order double sum differ;
+  //  * solo: present in a single document.
+  doc.Set("ratio", (docnum % 3) * 0.5 + (docnum % 7) * 1e-9);
+  doc.Set("big", (docnum % 2 == 0 ? 1 : -3) *
+                     ((std::int64_t{1} << 52) + docnum * 3));
+  if (docnum == 5) doc.Set("solo", 42);
   return doc;
 }
 
@@ -183,6 +195,20 @@ std::vector<Aggregation> ParityAggs() {
       "by_path", Aggregation::Terms("file_path", 4)));
   out.push_back(Aggregation::Stats("ret"));
   out.push_back(Aggregation::Percentiles("ret", {1.0, 50.0, 99.9}));
+  // Colliding double keys: the key is the value at the first matching docid.
+  out.push_back(Aggregation::Terms("ratio").SubAgg(
+      "by_syscall", Aggregation::Terms("syscall", 2)));
+  out.push_back(Aggregation::Terms("syscall").SubAgg(
+      "by_ratio", Aggregation::Terms("ratio")));  // per-bucket first docid
+  out.push_back(Aggregation::Stats("ratio"));  // non-integer doubles
+  out.push_back(Aggregation::Terms("comm").SubAgg(
+      "big", Aggregation::Stats("big")));  // Σ|v| ≥ 2^53
+  out.push_back(Aggregation::Percentiles("ret", {0.0, 100.0}));
+  out.push_back(Aggregation::Percentiles("solo", {0.0, 50.0, 100.0}));
+  out.push_back(Aggregation::Terms("comm").SubAgg(
+      "by_syscall",
+      Aggregation::Terms("syscall").SubAgg(
+          "top_path", Aggregation::Terms("file_path", 1))));
   return out;
 }
 
@@ -194,13 +220,11 @@ struct EngineConfig {
 class ColumnarParityTest
     : public ::testing::TestWithParam<EngineConfig> {};
 
-TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
+// Every parity request, count, aggregation and update-by-query of a store
+// built with `columnar_opts` against the reference, over three seeds.
+void ExpectParity(const ElasticStoreOptions& columnar_opts) {
   for (const std::uint64_t seed : {7ULL, 1234ULL, 982451653ULL}) {
     ReferenceBackend oracle;
-
-    ElasticStoreOptions columnar_opts;
-    columnar_opts.shards_per_index = GetParam().shards;
-    columnar_opts.query_threads = GetParam().threads;
     ElasticStore columnar(columnar_opts);
 
     FillStores(seed, oracle, columnar);
@@ -223,13 +247,17 @@ TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
       auto got = columnar.Aggregate("ev", Query::MatchAll(), aggs[i]);
       ASSERT_TRUE(ref.ok() && got.ok()) << "seed " << seed << " agg " << i;
       EXPECT_EQ(DumpAgg(*got), DumpAgg(*ref)) << "seed " << seed << " agg " << i;
-      // Filtered aggregation: exercises the matched-rows gather.
-      const Query filter = Query::Range("ret", 0, 40'000);
-      auto ref_f = oracle.Aggregate("ev", filter, aggs[i]);
-      auto got_f = columnar.Aggregate("ev", filter, aggs[i]);
-      ASSERT_TRUE(ref_f.ok() && got_f.ok());
-      EXPECT_EQ(DumpAgg(*got_f), DumpAgg(*ref_f))
-          << "seed " << seed << " filtered agg " << i;
+      // Filtered aggregation: the selective term leaves whole segments
+      // without a match at small segment_docs.
+      for (const Query& filter :
+           {Query::Range("ret", 0, 40'000), Query::Term("syscall", "fsync")}) {
+        auto ref_f = oracle.Aggregate("ev", filter, aggs[i]);
+        auto got_f = columnar.Aggregate("ev", filter, aggs[i]);
+        ASSERT_TRUE(ref_f.ok() && got_f.ok());
+        EXPECT_EQ(DumpAgg(*got_f), DumpAgg(*ref_f))
+            << "seed " << seed << " filtered agg " << i << " "
+            << filter.ToString();
+      }
     }
 
     // Update-by-query must modify the same documents, then requery cleanly
@@ -254,6 +282,13 @@ TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
   }
 }
 
+TEST_P(ColumnarParityTest, MatchesSerialJsonEngine) {
+  ElasticStoreOptions opts;
+  opts.shards_per_index = GetParam().shards;
+  opts.query_threads = GetParam().threads;
+  ExpectParity(opts);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, ColumnarParityTest,
     ::testing::Values(EngineConfig{1, 0}, EngineConfig{4, 0},
@@ -262,6 +297,21 @@ INSTANTIATE_TEST_SUITE_P(
       return "shards" + std::to_string(info.param.shards) + "_threads" +
              std::to_string(info.param.threads);
     });
+
+// The same checks at the segment-size extremes: 4-row segments (many hold
+// no match for a selective filter) and one tail that never seals.
+TEST(ColumnarSegmentParityTest, MatchesSerialJsonEngine) {
+  for (const auto& [shards, threads, segment_docs] :
+       {std::tuple{4, 0, std::size_t{4}},
+        std::tuple{3, 2, std::numeric_limits<std::size_t>::max()}}) {
+    SCOPED_TRACE("segment_docs " + std::to_string(segment_docs));
+    ElasticStoreOptions opts;
+    opts.shards_per_index = shards;
+    opts.query_threads = threads;
+    opts.segment_docs = segment_docs;
+    ExpectParity(opts);
+  }
+}
 
 // ---- distributed partial aggregation ----------------------------------------
 // AggregatePartial over a split corpus, merged in split order and finalized,
@@ -300,6 +350,11 @@ std::vector<std::string> SplitPartials(Backend& full, Backend& first,
   aggs.push_back(Aggregation::Terms("extra"));   // null members (kOther)
   aggs.push_back(Aggregation::Stats("ret"));
   aggs.push_back(Aggregation::Percentiles("duration_ns", {1.0, 50.0, 99.9}));
+  aggs.push_back(Aggregation::Terms("ratio"));  // colliding double keys
+  aggs.push_back(Aggregation::Percentiles("duration_ns", {0.0, 100.0}));
+  aggs.push_back(Aggregation::Terms("comm").SubAgg(
+      "by_syscall", Aggregation::Terms("syscall").SubAgg(
+                        "top_path", Aggregation::Terms("file_path", 1))));
 
   std::vector<Query> queries;
   queries.push_back(Query::MatchAll());

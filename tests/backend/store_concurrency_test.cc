@@ -34,6 +34,27 @@ Json Event(int docnum) {
   return doc;
 }
 
+tracer::WireEvent Wire(int docnum) {
+  tracer::WireEvent e;
+  const os::SyscallNr nr = docnum % 3 == 0
+                               ? os::SyscallNr::kRead
+                               : (docnum % 3 == 1 ? os::SyscallNr::kWrite
+                                                  : os::SyscallNr::kFsync);
+  e.nr = static_cast<std::uint8_t>(nr);
+  e.phase = 2;
+  e.pid = 99;
+  e.tid = static_cast<std::int32_t>(100 + docnum % 5);
+  e.time_enter = 1000 + docnum;
+  e.time_exit = e.time_enter + 50 + docnum % 7;
+  e.ret = docnum % 16 == 0 ? -5 : docnum % 128;
+  if (docnum % 4 != 0) {
+    const std::string path = "/data/db/sstable-" + std::to_string(docnum % 7);
+    e.path_len = tracer::WireEvent::FillString(e.path, tracer::kWirePathCap,
+                                               path, &e.path_trunc);
+  }
+  return e;
+}
+
 TEST(StoreConcurrencyTest, RefreshVsSearchHammer) {
   ElasticStoreOptions options;
   options.shards_per_index = 4;
@@ -168,27 +189,6 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   constexpr int kBatchSize = 20;
   constexpr std::size_t kTotalDocs = kBatches * kBatchSize;
 
-  auto wire = [](int docnum) {
-    tracer::WireEvent e;
-    const os::SyscallNr nr = docnum % 3 == 0
-                                 ? os::SyscallNr::kRead
-                                 : (docnum % 3 == 1 ? os::SyscallNr::kWrite
-                                                    : os::SyscallNr::kFsync);
-    e.nr = static_cast<std::uint8_t>(nr);
-    e.phase = 2;
-    e.pid = 99;
-    e.tid = static_cast<std::int32_t>(100 + docnum % 5);
-    e.time_enter = 1000 + docnum;
-    e.time_exit = e.time_enter + 50 + docnum % 7;
-    e.ret = docnum % 16 == 0 ? -5 : docnum % 128;
-    if (docnum % 4 != 0) {
-      const std::string path = "/data/db/sstable-" + std::to_string(docnum % 7);
-      e.path_len = tracer::WireEvent::FillString(e.path, tracer::kWirePathCap,
-                                                 path, &e.path_trunc);
-    }
-    return e;
-  };
-
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> visible{0};
 
@@ -196,7 +196,7 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
     int docnum = 0;
     for (int b = 0; b < kBatches; ++b) {
       std::vector<tracer::WireEvent> batch;
-      for (int i = 0; i < kBatchSize; ++i) batch.push_back(wire(docnum++));
+      for (int i = 0; i < kBatchSize; ++i) batch.push_back(Wire(docnum++));
       store.BulkWire("seg", "hammer", std::move(batch));
       store.Refresh("seg");
       visible.store(static_cast<std::size_t>(docnum),
@@ -269,6 +269,94 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   EXPECT_LE(stats->typed_rows, kTotalDocs);
   EXPECT_GT(stats->sealed_segments, 0u);
   EXPECT_EQ(stats->refreshes, static_cast<std::uint64_t>(kBatches));
+}
+
+// Per-segment aggregation under concurrent typed ingest: readers run the
+// four dashboard aggregations on a two-thread query pool while the writer
+// bulks wire records and refreshes across seal boundaries. Each Aggregate
+// pins one refresh generation, so its buckets must add up to one Count of
+// that generation's rows — between what was published before the call and
+// the final total — and every nested level must account for its parent.
+TEST(StoreConcurrencyTest, AggregateVsBulkWireRefreshHammer) {
+  ElasticStoreOptions options;
+  options.shards_per_index = 4;
+  options.query_threads = 2;
+  options.segment_docs = 16;
+  ElasticStore store(options);
+
+  constexpr int kBatches = 50;
+  constexpr int kBatchSize = 20;
+  constexpr std::size_t kTotalDocs = kBatches * kBatchSize;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> visible{0};
+
+  std::thread writer([&] {
+    int docnum = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<tracer::WireEvent> batch;
+      for (int i = 0; i < kBatchSize; ++i) batch.push_back(Wire(docnum++));
+      store.BulkWire("agg", "hammer", std::move(batch));
+      store.Refresh("agg");
+      visible.store(static_cast<std::size_t>(docnum),
+                    std::memory_order_release);
+    }
+    stop.store(true);
+  });
+
+  const Aggregation panels[] = {
+      Aggregation::Terms("syscall"),
+      Aggregation::Terms("syscall").SubAgg("lat",
+                                           Aggregation::Stats("duration_ns")),
+      Aggregation::Terms("tid").SubAgg(
+          "over_time", Aggregation::DateHistogram("time_enter", 64)),
+      Aggregation::DateHistogram("time_enter", 64)
+          .SubAgg("p", Aggregation::Percentiles("duration_ns", {50, 99})),
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      constexpr std::uint64_t kMaxIterations = 20'000;
+      std::uint64_t iterations = 0;
+      while (!stop.load(std::memory_order_acquire) &&
+             iterations < kMaxIterations) {
+        ++iterations;
+        std::this_thread::yield();
+        if (!store.HasIndex("agg")) continue;
+        const std::size_t floor = visible.load(std::memory_order_acquire);
+        const Aggregation& agg =
+            panels[(iterations + static_cast<std::uint64_t>(r)) % 4];
+        auto result = store.Aggregate("agg", Query::MatchAll(), agg);
+        if (!result.ok()) continue;
+        std::int64_t total = 0;
+        for (const AggBucket& bucket : result->buckets) {
+          total += bucket.doc_count;
+          for (const auto& [name, sub] : bucket.sub) {
+            if (!sub.buckets.empty()) {
+              std::int64_t nested = 0;
+              for (const AggBucket& inner : sub.buckets) {
+                nested += inner.doc_count;
+              }
+              EXPECT_EQ(nested, bucket.doc_count);
+            } else if (name == "lat") {
+              EXPECT_EQ(sub.metrics.GetInt("count"), bucket.doc_count);
+            }
+          }
+        }
+        EXPECT_GE(static_cast<std::size_t>(total), floor);
+        EXPECT_LE(static_cast<std::size_t>(total), kTotalDocs);
+      }
+    });
+  }
+
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  auto terms = store.Aggregate("agg", Query::MatchAll(), panels[0]);
+  ASSERT_TRUE(terms.ok());
+  std::int64_t total = 0;
+  for (const AggBucket& bucket : terms->buckets) total += bucket.doc_count;
+  EXPECT_EQ(static_cast<std::size_t>(total), kTotalDocs);
 }
 
 }  // namespace

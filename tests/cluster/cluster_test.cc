@@ -167,7 +167,7 @@ TEST(AckLevelTest, RoundTrip) {
   EXPECT_FALSE(AckLevelFromString("paranoid").ok());
 }
 
-TEST(ClusterOptionsTest, FromConfigParsesAndClamps) {
+TEST(ClusterOptionsTest, FromConfigParsesAndRejectsOutOfRange) {
   auto config = Config::ParseString(
       "[cluster]\nnodes = 5\nreplicas = 2\nack = all\nlogical_shards = 8\n");
   ASSERT_TRUE(config.ok());
@@ -182,12 +182,34 @@ TEST(ClusterOptionsTest, FromConfigParsesAndClamps) {
   ASSERT_TRUE(bad_ack.ok());
   EXPECT_FALSE(ClusterOptions::FromConfig(*bad_ack).ok());
 
-  auto clamped = Config::ParseString("[cluster]\nnodes = 0\nreplicas = -3\n");
-  ASSERT_TRUE(clamped.ok());
-  auto safe = ClusterOptions::FromConfig(*clamped);
+  // The lowest value each count accepts.
+  auto lowest = Config::ParseString(
+      "[cluster]\nnodes = 1\nreplicas = 0\nlogical_shards = 1\n"
+      "query_threads = 0\nlog_retain_batches = 0\n");
+  ASSERT_TRUE(lowest.ok());
+  auto safe = ClusterOptions::FromConfig(*lowest);
   ASSERT_TRUE(safe.ok());
   EXPECT_EQ(safe->nodes, 1u);
   EXPECT_EQ(safe->replicas, 0u);
+  EXPECT_EQ(safe->logical_shards, 1u);
+  EXPECT_EQ(safe->query_threads, 0u);
+  EXPECT_EQ(safe->log_retain_batches, 0u);
+}
+
+// A count below its minimum is an error naming the key, not a silent clamp.
+TEST(ClusterOptionsTest, FromConfigRejectsOutOfRangeCounts) {
+  for (const char* line :
+       {"nodes = 0", "replicas = -3", "logical_shards = 0",
+        "query_threads = -1", "log_retain_batches = -2"}) {
+    auto config = Config::ParseString(std::string("[cluster]\n") + line + "\n");
+    ASSERT_TRUE(config.ok()) << line;
+    auto opts = ClusterOptions::FromConfig(*config);
+    ASSERT_FALSE(opts.ok()) << line;
+    const std::string key =
+        "cluster." + std::string(line).substr(0, std::string(line).find(' '));
+    EXPECT_NE(opts.status().message().find(key), std::string::npos)
+        << opts.status().message();
+  }
 }
 
 // Satellite: unknown [cluster] keys are reported, mirroring transport.* and

@@ -415,6 +415,13 @@ ack = all
     ASSERT_FALSE(failed.ok()) << text;
     EXPECT_NE(failed.status().message().find("backend."), std::string::npos);
   }
+  // And an out-of-range [cluster] count, naming its key.
+  auto bad_cluster = Config::ParseString("[cluster]\nlogical_shards = 0\n");
+  ASSERT_TRUE(bad_cluster.ok());
+  auto failed = BuildBackendTier(*bad_cluster);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("cluster.logical_shards"),
+            std::string::npos);
 }
 
 TEST_F(ServiceTest, DestructorStopsLiveSessions) {
