@@ -11,7 +11,15 @@
 // deterministic post-run query replay must produce byte-identical digests
 // on the segmented store and on a cache-disabled twin
 // (backend.filter_cache_entries=0) ingested without concurrent readers.
-// Emits BENCH_mb_live_ingest.json.
+//
+// A second phase times the refresh itself against index size: one
+// 512-event BulkWire + Refresh on a store (production layout: default
+// sub-shards and segment_docs) that already holds 10k, 100k and 1M rows
+// (1k, 10k and 100k at smoke size). A refresh appends the new rows to the
+// live tails in place, so its cost should track the 512 new rows, not the
+// index: each size reports the median of 15 refreshes and its growth over
+// the smallest size. Emits BENCH_mb_live_ingest.json.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -303,6 +311,41 @@ ModeRun RunMode(const std::string& mode, ElasticStoreOptions options,
   return run;
 }
 
+// ---- refresh cost against index size ------------------------------------
+
+constexpr std::size_t kScalingBatch = 512;
+constexpr int kScalingRefreshes = 15;
+
+// Median wall time of one kScalingBatch-event refresh on a store that
+// already holds `rows` rows.
+double MedianRefreshMs(std::size_t rows) {
+  ElasticStore store;
+  Random rng(7);
+  std::size_t i = 0;
+  while (i < rows) {
+    const std::size_t n = std::min<std::size_t>(16384, rows - i);
+    std::vector<tracer::WireEvent> chunk;
+    chunk.reserve(n);
+    for (std::size_t k = 0; k < n; ++k, ++i) chunk.push_back(MakeEvent(rng, i));
+    store.BulkWire(kIndex, kSession, std::move(chunk));
+    store.Refresh(kIndex);
+  }
+  std::vector<double> ms;
+  for (int r = 0; r < kScalingRefreshes; ++r) {
+    std::vector<tracer::WireEvent> batch;
+    batch.reserve(kScalingBatch);
+    for (std::size_t k = 0; k < kScalingBatch; ++k, ++i) {
+      batch.push_back(MakeEvent(rng, i));
+    }
+    store.BulkWire(kIndex, kSession, std::move(batch));
+    const Nanos start = SteadyClock::Instance()->NowNanos();
+    store.Refresh(kIndex);
+    ms.push_back(MsSince(start));
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -381,6 +424,27 @@ int main(int argc, char** argv) {
     row.Set("sealed_segments", static_cast<std::int64_t>(run.sealed_segments));
     row.Set("refreshes", static_cast<std::int64_t>(run.refreshes));
     row.Set("digest", static_cast<std::int64_t>(run.digest));
+    report.AddRow(std::move(row));
+  }
+
+  std::printf("\nrefresh cost against index size (%zu-event refresh, "
+              "median of %d)\n%-10s %-16s %-8s\n",
+              kScalingBatch, kScalingRefreshes, "rows", "refresh_ms_p50",
+              "growth");
+  const std::size_t scaling_unit = events >= kDefaultEvents ? 10'000 : 1'000;
+  double smallest_ms = 0.0;
+  for (const std::size_t rows :
+       {scaling_unit, 10 * scaling_unit, 100 * scaling_unit}) {
+    const double ms = MedianRefreshMs(rows);
+    if (smallest_ms == 0.0) smallest_ms = ms;
+    const double growth = smallest_ms > 0.0 ? ms / smallest_ms : 0.0;
+    std::printf("%-10zu %-16.3f %-8.2f\n", rows, ms, growth);
+    Json row = Json::MakeObject();
+    row.Set("phase", "refresh_scaling");
+    row.Set("rows", static_cast<std::int64_t>(rows));
+    row.Set("refresh_events", static_cast<std::int64_t>(kScalingBatch));
+    row.Set("refresh_ms_p50", ms);
+    row.Set("refresh_growth", growth);
     report.AddRow(std::move(row));
   }
   report.Write();

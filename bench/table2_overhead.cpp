@@ -63,7 +63,7 @@ double RunOnce(const std::string& tracer_name, std::uint64_t ops,
     // machine. Defer index refresh out of the measured window so backend
     // indexing does not steal this machine's CPU (it happens at Stop()).
     backend::BulkClientOptions client_options;
-    client_options.refresh_every_batches = 0;
+    client_options.refresh_interval_ms = 0;
     tracer = std::make_unique<baselines::DioAdapter>(&kernel, &store,
                                                      options, client_options);
   }

@@ -6,13 +6,17 @@
 
 namespace dio::backend {
 
-BulkClientOptions BulkClientOptions::FromConfig(const Config& config) {
+Expected<BulkClientOptions> BulkClientOptions::FromConfig(
+    const Config& config) {
   BulkClientOptions options;
-  options.network_latency_ns = config.GetInt("transport.network_latency_ns",
-                                             options.network_latency_ns);
-  options.refresh_every_batches = static_cast<std::size_t>(
-      config.GetInt("transport.refresh_every_batches",
-                    static_cast<std::int64_t>(options.refresh_every_batches)));
+  for (auto [key, field] :
+       {std::pair{"transport.network_latency_ns", &options.network_latency_ns},
+        std::pair{"transport.refresh_interval_ms",
+                  &options.refresh_interval_ms}}) {
+    auto value = GetCount(config, key, static_cast<std::size_t>(*field), 0);
+    if (!value.ok()) return value.status();
+    *field = static_cast<std::int64_t>(*value);
+  }
   options.auto_correlate =
       config.GetBool("transport.auto_correlate", options.auto_correlate);
   return options;
@@ -23,7 +27,8 @@ BulkClient::BulkClient(ElasticStore* store, std::string index,
     : store_(store),
       index_(std::move(index)),
       options_(options),
-      clock_(clock) {
+      clock_(clock),
+      refresh_(options.refresh_interval(), clock) {
   stats_.stage = "bulk";
 }
 
@@ -46,22 +51,20 @@ Status BulkClient::Submit(transport::EventBatch batch) {
     batch.Materialize();
     store_->Bulk(index_, std::move(batch.documents));
   }
-  bool refresh = false;
   {
     std::scoped_lock lock(mu_);
     stats_.batches_in += 1;
     stats_.events_in += batch_events;
     stats_.batches_out += 1;
     stats_.events_out += batch_events;
-    refresh = options_.refresh_every_batches > 0 &&
-              stats_.batches_in % options_.refresh_every_batches == 0;
   }
-  if (refresh) store_->Refresh(index_);
+  if (refresh_.Due()) store_->Refresh(index_);
   return Status::Ok();
 }
 
 void BulkClient::Flush() {
   store_->Refresh(index_);
+  refresh_.Restart();
   if (options_.auto_correlate) {
     FilePathCorrelator correlator(store_);
     (void)correlator.Run(index_);

@@ -25,21 +25,64 @@
 namespace dio::backend {
 
 struct BulkClientOptions {
+  static constexpr std::int64_t kDefaultRefreshIntervalMs = 50;
+
   // Simulated one-way network latency to the backend server (the paper runs
   // the pipeline on separate machines).
   Nanos network_latency_ns = 200 * kMicrosecond;
-  // Refresh the index after every N bulk requests so data is searchable in
-  // near real-time (0 = only on Flush).
-  std::size_t refresh_every_batches = 8;
+  // Near-real-time refresh deadline, like ES's index.refresh_interval: after
+  // a successful Submit the sink refreshes once this long has passed on its
+  // Clock since its last refresh. The default matches the tracer's
+  // flush_interval, so an event is searchable within about one tracer
+  // batch. 0 = refresh only on Flush.
+  std::int64_t refresh_interval_ms = kDefaultRefreshIntervalMs;
   // §II-E: "The file path correlation algorithm can be automatically
   // executed by the tracer or on-demand by users." When true, Flush() runs
   // the correlation algorithm after refreshing, so file_path is populated
   // without user intervention.
   bool auto_correlate = false;
 
+  [[nodiscard]] Nanos refresh_interval() const {
+    return refresh_interval_ms * kMillisecond;
+  }
+
   // Reads the bulk-sink keys of the [transport] section
-  // (network_latency_ns, refresh_every_batches, auto_correlate).
-  static BulkClientOptions FromConfig(const Config& config);
+  // (network_latency_ns, refresh_interval_ms, auto_correlate). Rejects a
+  // negative or non-integer network_latency_ns or refresh_interval_ms,
+  // naming the key.
+  static Expected<BulkClientOptions> FromConfig(const Config& config);
+};
+
+// The refresh policy both terminal sinks share (this client and
+// cluster::ClusterBulkSink): Due() is true, and restarts the interval, once
+// `interval` has passed on `clock` since the last refresh. It is polled
+// after each accepted batch, so there is no timer thread; an interval of 0
+// is never due. Thread-safe.
+class RefreshDeadline {
+ public:
+  RefreshDeadline(Nanos interval, Clock* clock)
+      : interval_(interval), clock_(clock), last_(clock->NowNanos()) {}
+
+  [[nodiscard]] bool Due() {
+    if (interval_ <= 0) return false;
+    const Nanos now = clock_->NowNanos();
+    std::scoped_lock lock(mu_);
+    if (now - last_ < interval_) return false;
+    last_ = now;
+    return true;
+  }
+  // A refresh happened anyway (Flush): the interval restarts now.
+  void Restart() {
+    const Nanos now = clock_->NowNanos();
+    std::scoped_lock lock(mu_);
+    last_ = now;
+  }
+
+ private:
+  const Nanos interval_;
+  Clock* clock_;
+  std::mutex mu_;
+  Nanos last_;
 };
 
 class BulkClient final : public transport::Transport,
@@ -77,6 +120,7 @@ class BulkClient final : public transport::Transport,
   std::string index_;
   BulkClientOptions options_;
   Clock* clock_;
+  RefreshDeadline refresh_;
 
   mutable std::mutex mu_;
   transport::StageStats stats_;

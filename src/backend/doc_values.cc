@@ -1,7 +1,9 @@
 #include "backend/doc_values.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <numeric>
 
 #include "backend/simd_kernels.h"
 
@@ -28,6 +30,21 @@ void DocValueColumn::PrefixRankRange(std::string_view prefix,
   *hi = static_cast<std::uint32_t>(last - rank_to_ord.begin());
 }
 
+std::uint32_t DocValueColumn::Intern(const std::string& s) {
+  if (live != nullptr) {
+    auto it = live->dict_lookup.find(s);
+    if (it != live->dict_lookup.end()) return it->second;
+  }
+  const std::size_t base = live == nullptr ? 0 : live->dict.size();
+  auto [it, inserted] = dict_lookup.try_emplace(
+      s, static_cast<std::uint32_t>(base + dict.size()));
+  if (inserted) {
+    dict.push_back(s);
+    ranks_dirty = true;
+  }
+  return it->second;
+}
+
 // ---- ColumnSet --------------------------------------------------------------
 
 namespace {
@@ -36,7 +53,119 @@ void PadColumn(DocValueColumn& col, std::size_t slots) {
   col.EnsureSlots(slots);
 }
 
+// A staging column over a live dictionary of at least this many ranked
+// entries may leave its new strings unranked, as long as the unranked ones
+// stay within 1/kUnrankedShare of the ranked ones. Merging k strings into D
+// ranked ones costs O(k log D) comparisons plus an O(D) copy, so deferring
+// the merge until the unranked tail is a fixed share of D keeps the
+// amortized cost per new string constant, and a refresh O(new rows).
+constexpr std::size_t kEagerRankEntries = 4096;
+constexpr std::size_t kUnrankedShare = 16;
+
+// Ranks the column's unranked ordinals — for a staging column, those of the
+// live column past its rank order plus the staged suffix — by sorting them
+// and merging them into the ranked order with binary searches, into a fresh
+// vector (the live order stays untouched for concurrent readers). A plain
+// column has no ranked entries, so this sorts its whole dictionary. Unless
+// `rank_all`, a large staging column may keep its unranked entries instead;
+// its rank_to_ord is then left empty and Append keeps the live order.
+void RankColumn(DocValueColumn& col, bool rank_all) {
+  col.ranks_dirty = false;
+  const DocValueColumn* live = col.live;
+  const std::size_t base = live == nullptr ? 0 : live->dict.size();
+  const std::size_t ranked = live == nullptr ? 0 : live->rank_to_ord.size();
+  const std::size_t unranked = base + col.dict.size() - ranked;
+  if (unranked == 0) return;
+  if (!rank_all && ranked >= kEagerRankEntries &&
+      unranked * kUnrankedShare <= ranked) {
+    return;
+  }
+  const auto entry = [&col, live, base](std::uint32_t ord) -> const auto& {
+    return ord < base ? live->dict[ord] : col.dict[ord - base];
+  };
+  std::vector<std::uint32_t> fresh(unranked);
+  std::iota(fresh.begin(), fresh.end(), static_cast<std::uint32_t>(ranked));
+  std::sort(fresh.begin(), fresh.end(),
+            [&entry](std::uint32_t a, std::uint32_t b) {
+              return entry(a) < entry(b);
+            });
+  if (ranked == 0) {
+    col.rank_to_ord = std::move(fresh);
+    return;
+  }
+  const std::vector<std::uint32_t>& order = live->rank_to_ord;
+  std::vector<std::uint32_t> rank_to_ord;
+  rank_to_ord.reserve(ranked + unranked);
+  auto from = order.begin();
+  for (const std::uint32_t ord : fresh) {
+    const auto at = std::partition_point(
+        from, order.end(),
+        [live, &s = entry(ord)](std::uint32_t o) { return live->dict[o] < s; });
+    rank_to_ord.insert(rank_to_ord.end(), from, at);
+    rank_to_ord.push_back(ord);
+    from = at;
+  }
+  rank_to_ord.insert(rank_to_ord.end(), from, order.end());
+  col.rank_to_ord = std::move(rank_to_ord);
+}
+
+// `whole` becomes `prefix` followed by `cells`, with room for `capacity`.
+template <typename T>
+void Prepend(std::vector<T>& cells, const std::vector<T>& prefix,
+             std::size_t capacity) {
+  std::vector<T> whole;
+  whole.reserve(capacity);
+  whole.assign(prefix.begin(), prefix.end());
+  whole.insert(whole.end(), cells.begin(), cells.end());
+  cells.swap(whole);
+}
+
+// A staging column whose live arrays cannot take its rows without
+// reallocating becomes the whole grown column here, off-lock: the live
+// cells (or kMissing padding, for a field new to the live set) in front and
+// geometric spare capacity behind, so Append swaps it in instead of
+// reallocating under the store's exclusive lock.
+void GrowOffLock(DocValueColumn& col, std::size_t live_rows) {
+  const DocValueColumn* live = col.live;
+  const std::size_t rows = live_rows + col.kinds.size();
+  std::size_t room = 0;
+  if (live != nullptr) {
+    room = std::min({live->kinds.capacity(), live->ints.capacity(),
+                     live->dbls.capacity()});
+    if (room >= rows) return;
+  }
+  const std::size_t capacity = std::max(rows, 2 * room);
+  DocValueColumn missing;
+  missing.EnsureSlots(live == nullptr ? live_rows : 0);
+  const DocValueColumn& front = live == nullptr ? missing : *live;
+  Prepend(col.kinds, front.kinds, capacity);
+  Prepend(col.ints, front.ints, capacity);
+  Prepend(col.dbls, front.dbls, capacity);
+  col.cells_include_live = true;
+}
+
+void ReserveCells(DocValueColumn& col, std::size_t rows) {
+  col.kinds.reserve(rows);
+  col.ints.reserve(rows);
+  col.dbls.reserve(rows);
+}
+
 }  // namespace
+
+DocValueColumn& ColumnSet::Column(std::string_view field) {
+  auto it = columns_.find(field);
+  if (it == columns_.end()) {
+    it = columns_.emplace(std::string(field), DocValueColumn()).first;
+    if (live_ != nullptr) it->second.live = live_->Find(field);
+    ReserveCells(it->second, reserve_rows_);
+  }
+  return it->second;
+}
+
+void ColumnSet::Reserve(std::size_t rows) {
+  reserve_rows_ = rows;
+  for (auto& [field, col] : columns_) ReserveCells(col, rows);
+}
 
 void ColumnSet::DecodeMember(DocValueColumn& col, std::size_t pos,
                              const Json& value) {
@@ -51,17 +180,10 @@ void ColumnSet::DecodeMember(DocValueColumn& col, std::size_t pos,
       col.ints[pos] = value.as_int();
       col.dbls[pos] = value.as_double();
       break;
-    case Json::Type::kString: {
-      auto [it, inserted] = col.dict_lookup.try_emplace(
-          value.as_string(), static_cast<std::uint32_t>(col.dict.size()));
-      if (inserted) {
-        col.dict.push_back(value.as_string());
-        col.ranks_dirty = true;
-      }
+    case Json::Type::kString:
       col.kinds[pos] = static_cast<std::uint8_t>(ValueKind::kString);
-      col.ints[pos] = it->second;
+      col.ints[pos] = col.Intern(value.as_string());
       break;
-    }
     case Json::Type::kBool:
       col.kinds[pos] = static_cast<std::uint8_t>(ValueKind::kBool);
       col.ints[pos] = value.as_bool() ? 1 : 0;
@@ -76,7 +198,7 @@ void ColumnSet::AppendDoc(const Json& doc) {
   const std::size_t pos = num_docs_++;
   if (!doc.is_object()) return;  // slot stays kMissing in every column
   for (const JsonMember& member : doc.as_object()) {
-    DocValueColumn& col = columns_[member.first];
+    DocValueColumn& col = Column(member.first);
     PadColumn(col, pos + 1);
     DecodeMember(col, pos, member.second);
   }
@@ -91,30 +213,51 @@ void ColumnSet::ReplaceRow(std::size_t pos, const Json& doc) {
   }
   if (!doc.is_object()) return;
   for (const JsonMember& member : doc.as_object()) {
-    DocValueColumn& col = columns_[member.first];
+    DocValueColumn& col = Column(member.first);
     PadColumn(col, num_docs_);
     DecodeMember(col, pos, member.second);
   }
 }
 
-void ColumnSet::FinishBatch() {
+void ColumnSet::FinishBatch(bool rank_all) {
+  if (live_ == nullptr) {
+    for (auto& [field, col] : columns_) {
+      PadColumn(col, num_docs_);
+      if (col.ranks_dirty) RankColumn(col, true);
+    }
+    return;
+  }
+  // Every live field gets a staging column, so a field the new rows lack
+  // still reaches Append as kMissing cells (and any regrowth or ranking it
+  // needs happens here, off-lock).
+  live_->ForEachField([this](const std::string& field) { Column(field); });
   for (auto& [field, col] : columns_) {
     PadColumn(col, num_docs_);
-    if (!col.ranks_dirty) continue;
-    col.rank_to_ord.resize(col.dict.size());
-    for (std::uint32_t ord = 0; ord < col.rank_to_ord.size(); ++ord) {
-      col.rank_to_ord[ord] = ord;
-    }
-    std::sort(col.rank_to_ord.begin(), col.rank_to_ord.end(),
-              [&col](std::uint32_t a, std::uint32_t b) {
-                return col.dict[a] < col.dict[b];
-              });
-    col.sorted_rank.resize(col.dict.size());
-    for (std::uint32_t rank = 0; rank < col.rank_to_ord.size(); ++rank) {
-      col.sorted_rank[col.rank_to_ord[rank]] = rank;
-    }
-    col.ranks_dirty = false;
+    RankColumn(col, rank_all);
+    GrowOffLock(col, live_->num_docs());
   }
+}
+
+void ColumnSet::Append(ColumnSet&& staged) {
+  for (auto& [field, delta] : staged.columns_) {
+    DocValueColumn& col = Column(field);
+    if (delta.cells_include_live) {
+      col.kinds.swap(delta.kinds);
+      col.ints.swap(delta.ints);
+      col.dbls.swap(delta.dbls);
+    } else {
+      col.kinds.insert(col.kinds.end(), delta.kinds.begin(),
+                       delta.kinds.end());
+      col.ints.insert(col.ints.end(), delta.ints.begin(), delta.ints.end());
+      col.dbls.insert(col.dbls.end(), delta.dbls.begin(), delta.dbls.end());
+    }
+    if (!delta.rank_to_ord.empty()) col.rank_to_ord.swap(delta.rank_to_ord);
+    if (delta.dict.empty()) continue;
+    col.dict.insert(col.dict.end(), std::make_move_iterator(delta.dict.begin()),
+                    std::make_move_iterator(delta.dict.end()));
+    col.dict_lookup.merge(delta.dict_lookup);
+  }
+  num_docs_ += staged.num_docs_;
 }
 
 void ColumnSet::Clear() {
@@ -206,13 +349,6 @@ void FilterBitmapCache::Clear() {
   entries_.clear();
 }
 
-void FilterBitmapCache::CarryCountersFrom(const FilterBitmapCache& other) {
-  std::scoped_lock lock(mu_, other.mu_);
-  hits_ += other.hits_;
-  misses_ += other.misses_;
-  evictions_ += other.evictions_;
-}
-
 std::uint64_t FilterBitmapCache::hits() const {
   std::scoped_lock lock(mu_);
   return hits_;
@@ -284,8 +420,23 @@ CompiledQuery::Node CompiledQuery::Compile(const Query& query,
     case Query::Type::kPrefix:
       node.col = columns.Find(query.field());
       if (node.col != nullptr) {
-        node.col->PrefixRankRange(query.prefix(), &node.prefix_lo,
-                                  &node.prefix_hi);
+        // The matching ordinals, as a bitset: one bit test per row.
+        std::uint32_t lo = 0;
+        std::uint32_t hi = 0;
+        node.col->PrefixRankRange(query.prefix(), &lo, &hi);
+        const DocValueColumn& col = *node.col;
+        node.prefix_ords.assign((col.dict.size() + 63) / 64, 0);
+        const auto set = [&node](std::size_t ord) {
+          node.prefix_ords[ord >> 6] |= 1ULL << (ord & 63);
+        };
+        for (std::uint32_t rank = lo; rank < hi; ++rank) {
+          set(col.rank_to_ord[rank]);
+        }
+        // A growing tail's newest strings may not be ranked yet.
+        for (std::size_t ord = col.rank_to_ord.size(); ord < col.dict.size();
+             ++ord) {
+          if (col.dict[ord].starts_with(query.prefix())) set(ord);
+        }
       }
       break;
     case Query::Type::kAnd:
@@ -371,9 +522,8 @@ bool CompiledQuery::MatchesNode(const Node& node, std::size_t pos,
           node.col->kind(pos) != ValueKind::kString) {
         return false;
       }
-      const std::uint32_t rank =
-          node.col->sorted_rank[static_cast<std::size_t>(node.col->ints[pos])];
-      return rank >= node.prefix_lo && rank < node.prefix_hi;
+      const auto ord = static_cast<std::uint64_t>(node.col->ints[pos]);
+      return ((node.prefix_ords[ord >> 6] >> (ord & 63)) & 1ULL) != 0;
     }
     case Query::Type::kExists:
       return node.col != nullptr &&
@@ -502,7 +652,7 @@ bool CompiledQuery::EvalLeafKernel(const Node& node, std::size_t n,
       return true;
     }
     default:
-      return false;  // kPrefix (rank lookup) stays scalar
+      return false;  // kPrefix (ordinal bitset lookup) stays scalar
   }
 }
 

@@ -9,10 +9,12 @@
 //
 // Three pieces live here:
 //   * ColumnSet / DocValueColumn — one segment's column storage, append-only
-//     in docid order (update-by-query rewrites single rows in place).
+//     in docid order (update-by-query rewrites single rows in place). A
+//     staging ColumnSet decodes a refresh's new rows off-lock against a live
+//     set's dictionaries, so appending it to the live set is O(new rows).
 //   * CompiledQuery — a Query tree resolved against one ColumnSet: column
 //     pointers looked up once, string terms translated to dictionary
-//     ordinals, prefix predicates to rank ranges. `Eval` is the
+//     ordinals, prefix predicates to ordinal bitsets. `Eval` is the
 //     column-aware replica of `Query::Matches(doc)` over every slot and
 //     must agree with it bit-for-bit (the tests' JSON reference).
 //   * FilterBitmap / FilterBitmapCache — dense per-segment match bitmaps
@@ -59,14 +61,28 @@ struct DocValueColumn {
   std::vector<double> dbls;
 
   // String dictionary. Ordinals are assigned in first-seen order so
-  // incremental refresh never reshuffles existing slots; sorted_rank maps
-  // ordinal -> lexicographic rank so a prefix predicate is an O(1) rank
-  // range test per document.
+  // incremental refresh never reshuffles existing slots; rank_to_ord lists
+  // ordinals [0, rank_to_ord.size()) in lexicographic order, so the ranked
+  // entries starting with a prefix are one binary-searched range of it. The
+  // entries past that are the newest strings of a growing tail, which a
+  // refresh may leave unranked (at most a sixteenth of the ranked ones, in
+  // dictionaries of 4096 entries and more); prefix compilation checks them
+  // one by one. FinishBatch on a plain set ranks whole dictionaries.
   std::vector<std::string> dict;
   std::unordered_map<std::string, std::uint32_t> dict_lookup;
-  std::vector<std::uint32_t> sorted_rank;  // ordinal -> rank
   std::vector<std::uint32_t> rank_to_ord;  // rank -> ordinal
   bool ranks_dirty = false;
+
+  // Staging columns only (ColumnSet(const ColumnSet*)): the live column the
+  // staged rows will be appended to, or null when the field is new. Its
+  // dictionary is read, never written: a string it already holds keeps its
+  // ordinal, and `dict` holds only the suffix of new strings, numbered from
+  // live->dict.size(). After FinishBatch, a non-empty rank_to_ord is the
+  // new rank order for the live column, and cells_include_live says whether
+  // kinds/ints/dbls are the whole grown column (the live cells copied in
+  // front, because the live arrays had no room) or only the new rows.
+  const DocValueColumn* live = nullptr;
+  bool cells_include_live = false;
 
   // Pads the parallel arrays with kMissing slots up to `slots` entries.
   void EnsureSlots(std::size_t slots) {
@@ -85,22 +101,43 @@ struct DocValueColumn {
   [[nodiscard]] std::string_view str(std::size_t pos) const {
     return dict[static_cast<std::size_t>(ints[pos])];
   }
-  // Lexicographic rank range [lo, hi) of dictionary entries starting with
-  // `prefix`.
+  // The ordinal of `s`, added to the dictionary on first sight.
+  std::uint32_t Intern(const std::string& s);
+  // Lexicographic rank range [lo, hi) of the ranked dictionary entries
+  // starting with `prefix`.
   void PrefixRankRange(std::string_view prefix, std::uint32_t* lo,
                        std::uint32_t* hi) const;
 };
 
 class ColumnSet {
  public:
+  ColumnSet() = default;
+  // A staging set for rows that will be appended to `live` (see Append).
+  // Its slots count from 0, but every string cell already carries its final
+  // ordinal in `live`'s dictionary. `live` is only read, so staging can run
+  // while queries scan it, as long as nothing mutates `live` meanwhile.
+  explicit ColumnSet(const ColumnSet* live) : live_(live) {}
+
   // Appends one document slot (in docid order). Fields absent from this
   // document stay kMissing; fields first seen now are backfilled kMissing
   // for all earlier slots.
   void AppendDoc(const Json& doc);
   // Pads every column to the current slot count and rebuilds the
   // lexicographic ranks of dictionaries that grew. Call after a batch of
-  // AppendDoc()s, before the columns become visible to queries.
-  void FinishBatch();
+  // AppendDoc()s, before the columns become visible to queries. On a
+  // staging set it also does the append's allocation work: new strings are
+  // merged into the live rank order in fresh arrays (or, in a large
+  // dictionary, left unranked for a while, unless `rank_all` — the live set
+  // is about to seal), and a column whose live arrays lack room for the new
+  // rows is rebuilt whole, with spare capacity.
+  void FinishBatch(bool rank_all = true);
+  // Capacity for `rows` slots in every column, present and future, so a
+  // batch of known size appends without regrowing its arrays.
+  void Reserve(std::size_t rows);
+  // Appends a finished staging set built against this set: cells, the
+  // dictionary suffixes and the merged ranks move in, so the cost is
+  // O(staged rows + new strings) whatever the size of this set.
+  void Append(ColumnSet&& staged);
   void Clear();
 
   // Typed-ingest append path (backend/typed_ingest.cc): claims the next
@@ -112,7 +149,7 @@ class ColumnSet {
   // The named column, created empty on first use. References stay stable
   // across later insertions (std::map nodes don't move).
   DocValueColumn& TypedColumn(const std::string& field) {
-    return columns_[field];
+    return Column(field);
   }
 
   // Rewrites one existing slot from `doc` (update-by-query over a shard that
@@ -130,10 +167,13 @@ class ColumnSet {
   }
 
  private:
+  DocValueColumn& Column(std::string_view field);
   void DecodeMember(DocValueColumn& col, std::size_t pos, const Json& value);
 
   std::map<std::string, DocValueColumn, std::less<>> columns_;
   std::size_t num_docs_ = 0;
+  std::size_t reserve_rows_ = 0;
+  const ColumnSet* live_ = nullptr;  // set on staging sets only
 };
 
 // Dense bitmap over the document slots of one sub-shard.
@@ -178,10 +218,11 @@ class FilterBitmap {
 // predicate's ToString form. A cached bitmap covers exactly the rows of the
 // segment it belongs to, so it stays valid for as long as those rows do:
 // sealed segments keep their entries across refreshes, the growing tail's
-// cache is replaced on every refresh, and update-by-query clears only the
-// caches of segments whose rows it rewrote. Entries evict in LRU order once
-// `capacity` is reached (capacity 0 disables caching entirely — the
-// drop-all-caches parity twin). Hit/miss/eviction counts feed IndexStats.
+// cache is cleared whenever a refresh appends to it, and update-by-query
+// clears only the caches of segments whose rows it rewrote. Entries evict
+// in LRU order once `capacity` is reached (capacity 0 disables caching
+// entirely — the drop-all-caches parity twin). Hit/miss/eviction counts
+// feed IndexStats.
 class FilterBitmapCache {
  public:
   static constexpr std::size_t kDefaultEntries = 128;
@@ -192,11 +233,8 @@ class FilterBitmapCache {
   [[nodiscard]] std::shared_ptr<const FilterBitmap> Lookup(
       const std::string& key) const;
   void Insert(const std::string& key, FilterBitmap bitmap);
+  // Drops every entry; the traffic counters are cumulative and stay.
   void Clear();
-  // Adopts another cache's traffic counters. A refresh replaces the growing
-  // tail's cache with a fresh one; carrying the old counters over keeps the
-  // store's cumulative hit/miss stats from going backwards.
-  void CarryCountersFrom(const FilterBitmapCache& other);
 
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
@@ -245,8 +283,7 @@ class CompiledQuery {
     const Query* query = nullptr;
     const DocValueColumn* col = nullptr;
     std::vector<TermValue> values;          // kTerm / kTerms
-    std::uint32_t prefix_lo = 0;            // kPrefix rank range
-    std::uint32_t prefix_hi = 0;
+    std::vector<std::uint64_t> prefix_ords;  // kPrefix: bitset by ordinal
     std::vector<Node> children;
 
     [[nodiscard]] bool IsLeaf() const {
@@ -263,7 +300,7 @@ class CompiledQuery {
   // Vectorized leaf evaluation (backend/simd_kernels.h): fills `out` for the
   // predicate shapes the kernels cover (numeric ranges, exists, string/bool
   // term lists) and returns true; returns false when the leaf needs the
-  // scalar per-row loop (prefix ranks, numeric terms, kOther fallbacks).
+  // scalar per-row loop (prefix bitsets, numeric terms, kOther fallbacks).
   static bool EvalLeafKernel(const Node& node, std::size_t n,
                              FilterBitmap* out);
 

@@ -1,5 +1,6 @@
 #include "backend/segments.h"
 
+#include <algorithm>
 #include <cassert>
 #include <set>
 #include <string>
@@ -48,57 +49,78 @@ std::uint64_t SegmentedColumns::cache_evictions() const {
 
 // ---- StagedSegmentBuild -----------------------------------------------------
 
-StagedSegmentBuild::StagedSegmentBuild(const SegmentedColumns& base)
+StagedSegmentBuild::StagedSegmentBuild(const SegmentedColumns& base,
+                                       std::size_t rows)
     : base_generation_(base.generation()),
       base_rows_(base.num_rows()),
       segment_docs_(base.segment_docs()),
       cache_entries_(base.cache_entries()),
-      next_base_(base.num_rows()),
-      staged_(base.segments_) {
-  if (!staged_.empty() && !staged_.back()->sealed) {
-    // Clone the growing tail so appends never touch the copy concurrent
-    // readers are scanning; the clone carries the cache counters over.
-    tail_ = std::make_shared<ColumnSegment>(*staged_.back(), cache_entries_);
-    staged_.back() = tail_;
-    first_touched_ = staged_.size() - 1;
-  } else {
-    first_touched_ = staged_.size();
+      rows_hint_(rows) {
+  if (!base.segments_.empty() && !base.segments_.back()->sealed) {
+    // Finish() seals a block the moment it fills, so an unsealed tail
+    // always has room.
+    live_tail_ = base.segments_.back();
+    tail_room_ = segment_docs_ - live_tail_->rows();
+    tail_rows_ = ColumnSet(&live_tail_->columns);
   }
+}
+
+void StagedSegmentBuild::Target(ColumnSet* columns, std::size_t room) {
+  current_ = columns;
+  const std::size_t coming =
+      rows_hint_ >= staged_rows_ ? rows_hint_ - staged_rows_ + 1 : 0;
+  current_->Reserve(std::min(coming, room));
 }
 
 bool StagedSegmentBuild::PrepareRow() {
   ++staged_rows_;
-  if (tail_ != nullptr && tail_->rows() < segment_docs_) return false;
-  if (tail_ != nullptr) tail_->sealed = true;
-  const std::size_t base =
-      tail_ == nullptr ? next_base_ : tail_->base + tail_->rows();
-  tail_ = std::make_shared<ColumnSegment>(base, cache_entries_);
-  staged_.push_back(tail_);
+  if (current_ == nullptr && tail_room_ > 0) {
+    Target(&tail_rows_, tail_room_);
+    return true;
+  }
+  if (current_ != nullptr) {
+    const std::size_t room =
+        current_ == &tail_rows_ ? tail_room_ : segment_docs_;
+    if (current_->num_docs() < room) return false;
+  }
+  const std::size_t base = fresh_.empty()
+                               ? base_rows_ + tail_rows_.num_docs()
+                               : fresh_.back()->end();
+  if (!fresh_.empty()) fresh_.back()->sealed = true;
+  fresh_.push_back(std::make_shared<ColumnSegment>(base, cache_entries_));
+  Target(&fresh_.back()->columns, segment_docs_);
   return true;
 }
 
 void StagedSegmentBuild::Finish() {
-  for (std::size_t i = first_touched_; i < staged_.size(); ++i) {
-    staged_[i]->columns.FinishBatch();
+  if (tail_rows_.num_docs() > 0) {
+    // A tail this build fills seals at Commit: rank all its strings now.
+    tail_rows_.FinishBatch(/*rank_all=*/tail_rows_.num_docs() == tail_room_);
+  }
+  for (const auto& segment : fresh_) {
+    segment->columns.FinishBatch();
     // A block that filled to the brim this refresh is sealed immediately so
     // the very next refresh opens a new tail and this block's cache starts
     // accumulating reusable bitmaps.
-    if (staged_[i]->rows() >= segment_docs_) {
-      staged_[i]->sealed = true;
-    }
+    if (segment->rows() >= segment_docs_) segment->sealed = true;
   }
 }
 
 void StagedSegmentBuild::Commit(SegmentedColumns* target) {
-  // The store's ingest mutex serializes all mutators, so the base list the
-  // build started from must still be current.
+  // The store's ingest mutex serializes all mutators, so the list the build
+  // started from must still be current.
   assert(target->generation_ == base_generation_);
   assert(target->num_rows_ == base_rows_);
   (void)base_generation_;
-  (void)base_rows_;
-  target->segments_ = std::move(staged_);
-  target->num_rows_ =
-      target->segments_.empty() ? 0 : target->segments_.back()->end();
+  if (tail_rows_.num_docs() > 0) {
+    live_tail_->columns.Append(std::move(tail_rows_));
+    // The tail's bitmaps covered the old row count; its counters stay.
+    live_tail_->cache.Clear();
+    if (live_tail_->rows() >= segment_docs_) live_tail_->sealed = true;
+  }
+  for (auto& segment : fresh_) target->segments_.push_back(std::move(segment));
+  fresh_.clear();
+  target->num_rows_ = base_rows_ + staged_rows_;
   ++target->generation_;
 }
 

@@ -1,13 +1,15 @@
 // Sealed-segment columnar layout for the ElasticStore (Lucene segment
 // shape): each sub-shard's doc-value columns are an ordered list of
-// immutable sealed blocks plus one growing tail. A refresh stages the new
-// rows' columns entirely off-lock — sealed segments are shared by pointer,
-// the old tail is cloned and appended into, blocks seal at exactly
-// `segment_docs` rows — and the staged list is swapped in under the store's
-// brief exclusive window. Because sealed segments never change, their
-// cached filter bitmaps and string-dictionary ranks survive refreshes; a
-// visibility change invalidates only the tail. `segment_docs` is at least
-// 1; SIZE_MAX keeps every row in one tail that never seals.
+// immutable sealed blocks plus one growing tail. A refresh decodes the new
+// rows off-lock — the rows bound for the live tail into a staging set that
+// already carries the tail's dictionary ordinals, the rest into fresh
+// blocks that seal at exactly `segment_docs` rows — and then, under the
+// store's brief exclusive window, appends the staged cells to the tail in
+// place and publishes the fresh blocks. The pause is O(new rows) however
+// large the tail. Because sealed segments never change, their cached
+// filter bitmaps and string-dictionary ranks survive refreshes; an append
+// invalidates only the tail's bitmaps. `segment_docs` is at least 1;
+// SIZE_MAX keeps every row in one tail that never seals.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +28,6 @@ namespace dio::backend {
 struct ColumnSegment {
   ColumnSegment(std::size_t base_pos, std::size_t cache_entries)
       : base(base_pos), cache(cache_entries) {}
-  // Tail clone for a staged refresh: copies rows and carries the traffic
-  // counters over so cumulative cache stats never go backwards, but starts
-  // with an empty cache (the tail's bitmaps die with the visibility change).
-  ColumnSegment(const ColumnSegment& other, std::size_t cache_entries)
-      : base(other.base), sealed(other.sealed), columns(other.columns),
-        cache(cache_entries) {
-    cache.CarryCountersFrom(other.cache);
-  }
 
   std::size_t base = 0;
   bool sealed = false;
@@ -46,8 +40,7 @@ struct ColumnSegment {
 
 // The ordered segment list of one sub-shard. Readers walk `segments()`
 // under the store's shared refresh lock; every mutation happens under the
-// exclusive lock (swap-in of a staged build, update-by-query row
-// rewrites).
+// exclusive lock (a staged build's commit, update-by-query row rewrites).
 class SegmentedColumns {
  public:
   SegmentedColumns(std::size_t segment_docs, std::size_t cache_entries)
@@ -93,31 +86,37 @@ class SegmentedColumns {
 };
 
 // Off-lock staged refresh build for one sub-shard. Constructed against the
-// shard's current segment list while queries keep running: sealed segments
-// are adopted by pointer, the unsealed tail (if any) is cloned so the live
-// copy is never touched. The caller then appends the new rows' columns —
-// calling PrepareRow() before each row so blocks seal exactly at the
-// segment_docs boundary — and finally Commit() swaps the staged list in
-// under the store's exclusive window (O(segments) pointer moves, no column
-// work). The store's ingest mutex serializes builders against every other
-// mutator, so the base list cannot change between construction and Commit.
+// shard's current segment list while queries keep running. Rows that fit in
+// the unsealed tail (if any) are decoded into a staging ColumnSet bound to
+// the tail's columns; the rest go into fresh blocks that no reader can see
+// yet. The caller appends rows — calling PrepareRow() before each so blocks
+// seal exactly at the segment_docs boundary — then Finish() does the
+// remaining column work off-lock, and Commit() applies the build under the
+// store's exclusive window: the staged cells are appended to the tail in
+// place and the fresh blocks are published, O(new rows) in all. The store's
+// ingest mutex serializes builders against every other mutator, so the
+// live tail cannot change between construction and Commit.
 class StagedSegmentBuild {
  public:
-  explicit StagedSegmentBuild(const SegmentedColumns& base);
+  // `rows`, when known, is how many rows the caller will append: each
+  // ColumnSet they land in reserves its share up front.
+  explicit StagedSegmentBuild(const SegmentedColumns& base,
+                              std::size_t rows = 0);
 
-  // Seals the tail if it is full and opens a fresh one; returns true when
-  // the tail ColumnSet changed (appenders caching column pointers must
-  // re-bind). Call once before every appended row.
+  // Moves on to a fresh block when the current one is full; returns true
+  // when the ColumnSet behind tail() changed (appenders caching column
+  // pointers must re-bind). Call once before every appended row.
   bool PrepareRow();
   // The ColumnSet the next row appends into. Valid after PrepareRow().
-  [[nodiscard]] ColumnSet& tail() { return tail_->columns; }
+  [[nodiscard]] ColumnSet& tail() { return *current_; }
 
-  // FinishBatch on every staged segment that grew (pads columns, re-ranks
-  // only dictionaries that changed — sealed blocks keep their ranks).
+  // FinishBatch on the staged rows: pads columns, ranks dictionaries that
+  // grew (merging the tail's suffixes with its live ranks), and regrows
+  // tail columns that lack room. Sealed blocks keep their ranks.
   void Finish();
   [[nodiscard]] std::size_t staged_rows() const { return staged_rows_; }
 
-  // Publishes the staged list into `target` under the exclusive lock.
+  // Appends the staged rows to `target` under the exclusive lock.
   void Commit(SegmentedColumns* target);
 
  private:
@@ -125,11 +124,20 @@ class StagedSegmentBuild {
   std::size_t base_rows_;
   std::size_t segment_docs_;
   std::size_t cache_entries_;
-  std::size_t next_base_;
+  std::size_t rows_hint_;
   std::size_t staged_rows_ = 0;
-  std::size_t first_touched_;
-  std::shared_ptr<ColumnSegment> tail_;
-  std::vector<std::shared_ptr<ColumnSegment>> staged_;
+  // The live unsealed tail and the rows staged for it (null / empty when
+  // the shard has no unsealed tail).
+  std::shared_ptr<ColumnSegment> live_tail_;
+  std::size_t tail_room_ = 0;
+  ColumnSet tail_rows_;
+  // Blocks opened by this build, in order; the last may stay unsealed.
+  std::vector<std::shared_ptr<ColumnSegment>> fresh_;
+  ColumnSet* current_ = nullptr;
+
+  // Makes `columns` the target of the next rows, reserving the rows it will
+  // take of those still to come.
+  void Target(ColumnSet* columns, std::size_t room);
 };
 
 }  // namespace dio::backend

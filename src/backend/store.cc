@@ -24,6 +24,18 @@ std::span<const Json> SegmentDocs(const std::vector<Json>& docs,
   return {docs.data() + segment.base, segment.rows()};
 }
 
+// A copy of `rows` with room for `more` appends, when appending them in
+// place would reallocate; nullopt when there is room already.
+template <typename T>
+std::optional<std::vector<T>> GrownCopy(const std::vector<T>& rows,
+                                        std::size_t more) {
+  if (rows.capacity() >= rows.size() + more) return std::nullopt;
+  std::vector<T> grown;
+  grown.reserve(std::max(rows.size() + more, 2 * rows.capacity()));
+  grown.assign(rows.begin(), rows.end());
+  return grown;
+}
+
 // The segment's rows that match `query`, built from (and feeding) the
 // segment's bitmap cache.
 FilterBitmap SegmentMatches(const std::vector<Json>& docs,
@@ -291,17 +303,27 @@ void ElasticStore::Refresh(const std::string& index_name) {
     }
   };
 
-  // Phase 1: build the new rows' columns entirely off-lock. Queries keep
-  // running against the live segment lists the whole time — sealed segments
-  // are adopted by pointer, the growing tail is cloned and appended into,
-  // blocks seal at segment_docs. Nothing mutates the base lists underneath
-  // us: every mutator holds ingest_mu.
-  std::vector<std::unique_ptr<StagedSegmentBuild>> builds(num_shards);
+  // Phase 1: decode the new rows' columns entirely off-lock. Queries keep
+  // running against the live segment lists the whole time — rows bound for
+  // the growing tail are staged with its dictionary ordinals, the rest fill
+  // fresh blocks that seal at segment_docs. A row store that would
+  // reallocate when the rows are appended (moving every row under the
+  // exclusive lock) is regrown here as a copy. Nothing mutates the live
+  // segments or rows underneath us: every mutator holds ingest_mu.
+  struct ShardStage {
+    std::unique_ptr<StagedSegmentBuild> build;
+    std::optional<std::vector<Json>> docs;
+    std::optional<std::vector<std::uint8_t>> typed;
+  };
+  std::vector<ShardStage> stages(num_shards);
   const Nanos start = SteadyClock::Instance()->NowNanos();
-  per_shard([&index, &staged, &builds](std::size_t s) {
+  per_shard([&index, &staged, &stages](std::size_t s) {
     if (staged[s].empty()) return;
-    auto build =
-        std::make_unique<StagedSegmentBuild>(index->shards[s]->segments);
+    const SubShard& shard = *index->shards[s];
+    stages[s].docs = GrownCopy(shard.docs, staged[s].size());
+    stages[s].typed = GrownCopy(shard.typed, staged[s].size());
+    auto build = std::make_unique<StagedSegmentBuild>(shard.segments,
+                                                      staged[s].size());
     std::optional<WireColumnAppender> appender;
     for (const StagedRow& row : staged[s]) {
       // A sealed block means a fresh tail ColumnSet: re-bind the appender
@@ -315,20 +337,25 @@ void ElasticStore::Refresh(const std::string& index_name) {
       }
     }
     build->Finish();
-    builds[s] = std::move(build);
+    stages[s].build = std::move(build);
   });
   index->column_build_ns.fetch_add(
       static_cast<std::uint64_t>(SteadyClock::Instance()->NowNanos() - start),
       std::memory_order_relaxed);
 
-  // Phase 2: the exclusive window — append the row store, swap the staged
-  // segment lists in, publish the docids. The column work already happened,
-  // so this pause is bounded by the staged row count, never by index size.
+  // Phase 2: the exclusive window — append the row store, append the staged
+  // cells to each tail and publish fresh blocks, publish the docids. The
+  // decoding and any regrowth already happened, so this pause is bounded by
+  // the staged row count, never by index size. Replaced arrays are freed
+  // with `stages`, after the lock is released.
   std::unique_lock refresh_lock = index->LockForMutation();
   const Nanos pause_start = SteadyClock::Instance()->NowNanos();
-  per_shard([&index, &staged, &builds](std::size_t s) {
+  per_shard([&index, &staged, &stages](std::size_t s) {
     SubShard& shard = *index->shards[s];
+    ShardStage& stage = stages[s];
     std::unique_lock shard_lock(shard.mu);
+    if (stage.docs.has_value()) shard.docs.swap(*stage.docs);
+    if (stage.typed.has_value()) shard.typed.swap(*stage.typed);
     for (StagedRow& row : staged[s]) {
       // A typed row's fields live only in the columns; its document slot
       // holds a null placeholder.
@@ -337,7 +364,7 @@ void ElasticStore::Refresh(const std::string& index_name) {
       shard.typed.push_back(typed ? 1 : 0);
       if (typed) ++shard.typed_rows;
     }
-    if (builds[s] != nullptr) builds[s]->Commit(&shard.segments);
+    if (stage.build != nullptr) stage.build->Commit(&shard.segments);
   });
   index->next_docid = next_docid;
   index->refreshes.fetch_add(1, std::memory_order_relaxed);

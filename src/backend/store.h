@@ -53,15 +53,20 @@ namespace dio::backend {
 
 // Store-wide tuning knobs (the `[backend]` config section).
 struct ElasticStoreOptions {
+  // Sub-shards per index on a single store. A cluster router gives every
+  // node store one sub-shard per logical-shard index instead (the logical
+  // shards already spread the rows), so this applies to the single store
+  // only.
   std::size_t shards_per_index = 4;
   // Worker threads for per-sub-shard query fan-out. 0 = evaluate sub-shards
   // on the calling thread (no pool).
   std::size_t query_threads = 0;
   // Rows per sealed column segment (>= 1). Each sub-shard's columns are an
   // ordered list of immutable sealed blocks of exactly this many rows plus
-  // one growing tail: Refresh builds only the tail's columns, off-lock, and
-  // sealed blocks keep their filter-bitmap caches and dictionary ranks
-  // across refreshes. SIZE_MAX keeps every row in one never-sealed tail.
+  // one growing tail: Refresh decodes only the new rows, off-lock, and
+  // appends them to the tail in place; sealed blocks keep their
+  // filter-bitmap caches and dictionary ranks across refreshes. SIZE_MAX
+  // keeps every row in one never-sealed tail.
   std::size_t segment_docs = 1 << 16;
   // Cached filter bitmaps per segment, evicted in LRU order. 0 disables
   // bitmap caching entirely (the drop-all-caches parity twin).
@@ -185,7 +190,7 @@ class ElasticStore : public QueryBackend {
     // The sub-shard's ordered segment list — sealed immutable blocks plus
     // one growing tail, each with its own bitmap cache. Covers the same
     // positions as `docs` (segment index = pos / segment_docs).
-    // Swapped/extended only under refresh_mu unique; read under refresh_mu
+    // Appended to only under refresh_mu unique; read under refresh_mu
     // shared.
     SegmentedColumns segments;
 

@@ -76,18 +76,8 @@ void WireColumnAppender::SetString(DocValueColumn* col, std::size_t pos,
                                    std::string_view s) {
   col->EnsureSlots(pos + 1);
   scratch_.assign(s.data(), s.size());
-  auto it = col->dict_lookup.find(scratch_);
-  std::uint32_t ord;
-  if (it == col->dict_lookup.end()) {
-    ord = static_cast<std::uint32_t>(col->dict.size());
-    col->dict.push_back(scratch_);
-    col->dict_lookup.emplace(scratch_, ord);
-    col->ranks_dirty = true;
-  } else {
-    ord = it->second;
-  }
   col->kinds[pos] = static_cast<std::uint8_t>(ValueKind::kString);
-  col->ints[pos] = static_cast<std::int64_t>(ord);
+  col->ints[pos] = static_cast<std::int64_t>(col->Intern(scratch_));
 }
 
 std::size_t WireColumnAppender::Append(const tracer::WireEvent& raw,
@@ -231,13 +221,7 @@ bool FilePathColumnWriter::Apply(std::size_t pos) {
         path_col_ = &columns_->TypedColumn(std::string(kFilePathField));
         changed_ = true;
       }
-      auto [entry, inserted] = path_col_->dict_lookup.try_emplace(
-          it->second, static_cast<std::uint32_t>(path_col_->dict.size()));
-      if (inserted) {
-        path_col_->dict.push_back(it->second);
-        path_col_->ranks_dirty = true;
-      }
-      ord = entry->second;
+      ord = path_col_->Intern(it->second);
     }
   }
   if (ord == kUnknownTag) return false;

@@ -5,11 +5,13 @@
 namespace dio::cluster {
 
 ClusterBulkSink::ClusterBulkSink(ClusterRouter* router, std::string index,
-                                 Nanos network_latency_ns, Clock* clock)
+                                 Nanos network_latency_ns, Clock* clock,
+                                 Nanos refresh_interval)
     : router_(router),
       index_(std::move(index)),
       network_latency_ns_(network_latency_ns),
-      clock_(clock) {
+      clock_(clock),
+      refresh_(refresh_interval, clock) {
   stats_.stage = "cluster";
 }
 
@@ -19,18 +21,21 @@ Status ClusterBulkSink::Submit(transport::EventBatch batch) {
   clock_->SleepFor(network_latency_ns_);
   const std::size_t batch_events = batch.size();
   const Status status = router_->Ingest(index_, std::move(batch));
-  std::scoped_lock lock(mu_);
-  stats_.batches_in += 1;
-  stats_.events_in += batch_events;
-  if (status.ok()) {
-    stats_.batches_out += 1;
-    stats_.events_out += batch_events;
-  } else {
-    // Refused, not lost: the batch stays with the retry stage above, which
-    // re-drives it once the cluster can satisfy the ack level again.
-    rejected_batches_ += 1;
-    rejected_events_ += batch_events;
+  {
+    std::scoped_lock lock(mu_);
+    stats_.batches_in += 1;
+    stats_.events_in += batch_events;
+    if (status.ok()) {
+      stats_.batches_out += 1;
+      stats_.events_out += batch_events;
+    } else {
+      // Refused, not lost: the batch stays with the retry stage above, which
+      // re-drives it once the cluster can satisfy the ack level again.
+      rejected_batches_ += 1;
+      rejected_events_ += batch_events;
+    }
   }
+  if (status.ok() && refresh_.Due()) router_->Refresh(index_);
   return status;
 }
 
@@ -40,6 +45,7 @@ void ClusterBulkSink::Flush() {
   // fully-applied prefix before the session goes quiescent.
   (void)router_->CompactLogs();
   router_->Refresh(index_);
+  refresh_.Restart();
 }
 
 void ClusterBulkSink::IndexBatch(std::vector<Json> documents) {

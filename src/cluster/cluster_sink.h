@@ -4,7 +4,8 @@
 // router ingest. A rejected ingest (ack level unsatisfiable during a crash
 // or partition) surfaces as the Submit status, so the retry stage above
 // re-drives the batch exactly like a failed bulk request; the router's
-// fingerprint dedupe keeps the re-drive exactly-once.
+// fingerprint dedupe keeps the re-drive exactly-once. Accepted batches
+// become searchable on the same refresh deadline as BulkClient's.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "backend/bulk_client.h"
 #include "cluster/router.h"
 #include "common/clock.h"
 #include "tracer/sink.h"
@@ -22,9 +24,16 @@ namespace dio::cluster {
 class ClusterBulkSink final : public transport::Transport,
                               public tracer::EventSink {
  public:
+  // `refresh_interval` is BulkClientOptions::refresh_interval_ms in
+  // nanoseconds: after an accepted Submit the sink refreshes the index on
+  // every node once that long has passed on `clock` since its last refresh
+  // (0 = only on Flush). A refused Submit never refreshes.
   ClusterBulkSink(ClusterRouter* router, std::string index,
                   Nanos network_latency_ns = 200 * kMicrosecond,
-                  Clock* clock = SteadyClock::Instance());
+                  Clock* clock = SteadyClock::Instance(),
+                  Nanos refresh_interval =
+                      backend::BulkClientOptions::kDefaultRefreshIntervalMs *
+                      kMillisecond);
 
   ClusterBulkSink(const ClusterBulkSink&) = delete;
   ClusterBulkSink& operator=(const ClusterBulkSink&) = delete;
@@ -54,6 +63,7 @@ class ClusterBulkSink final : public transport::Transport,
   std::string index_;
   Nanos network_latency_ns_;
   Clock* clock_;
+  backend::RefreshDeadline refresh_;
 
   mutable std::mutex mu_;
   transport::StageStats stats_;

@@ -140,7 +140,15 @@ BackendNode::BackendNode(std::size_t id,
       store_(std::make_unique<backend::ElasticStore>(options)) {}
 
 ClusterRouter::ClusterRouter(const ClusterOptions& options)
-    : options_(options), map_(options.logical_shards, options.replicas) {
+    : options_([&options] {
+        // Each logical shard is its own sub-index on a node store, and the
+        // logical shards already spread the rows, so a node store splits
+        // none of them again: one sub-shard per logical shard.
+        ClusterOptions opts = options;
+        opts.store.shards_per_index = 1;
+        return opts;
+      }()),
+      map_(options.logical_shards, options.replicas) {
   for (std::size_t n = 0; n < std::max<std::size_t>(1, options.nodes); ++n) {
     nodes_.push_back(std::make_unique<BackendNode>(map_.AddNode(),
                                                    options_.store));
@@ -1284,13 +1292,27 @@ Expected<std::size_t> ClusterRouter::UpdateByQuery(
 }
 
 void ClusterRouter::Refresh(const std::string& index) {
-  std::scoped_lock lock(mu_);
-  auto it = indices_.find(index);
-  if (it == indices_.end()) return;
-  for (std::size_t shard = 0; shard < it->second.shards.size(); ++shard) {
-    const std::string sub = SubIndexName(index, shard);
-    for (const auto& node : nodes_) {
-      if (node->up_ && node->store_->HasIndex(sub)) node->store_->Refresh(sub);
+  // Shared: Search, Count, Aggregate and Stats keep running while the node
+  // stores refresh; CrashNode, RestartNode and AddNode take mu_ exclusively
+  // and so still exclude it.
+  std::shared_lock lock(mu_);
+  if (!indices_.contains(index)) return;
+  const std::string prefix = index + "#";
+  for (const auto& node : nodes_) {
+    // Only sub-indices with ingest applied since their last refresh are
+    // visited. The refresh happens under the node's apply mutex, like an
+    // update barrier's, so a barrier never finds a sub-index clean whose
+    // refresh is still to come.
+    std::scoped_lock apply_lock(node->apply_mu_);
+    if (!node->up_) continue;
+    auto it = node->dirty_.lower_bound(prefix);
+    while (it != node->dirty_.end() && it->starts_with(prefix)) {
+      if (it->find('#', prefix.size()) != std::string::npos) {
+        ++it;  // a sub-index of another index whose name extends this one
+        continue;
+      }
+      node->store_->Refresh(*it);
+      it = node->dirty_.erase(it);
     }
   }
 }

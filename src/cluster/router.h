@@ -50,10 +50,12 @@
 //     plan, the merge, and all error selection stay in shard order.
 //
 // Thread-safety: a router shared_mutex guards topology, logs, and sequence
-// assignment — mutators exclusive, queries shared (so N dashboards scatter
-// concurrently). Log-entry application to node stores happens outside it,
-// ordered per (node, shard) by the node's applied-watermark (taken under
-// the node's apply mutex), so concurrent producers fan out across nodes.
+// assignment — mutators exclusive, queries and Refresh shared (so N
+// dashboards scatter concurrently, also while a periodic refresh runs;
+// Refresh works under each node's apply mutex in turn). Log-entry
+// application to node stores happens outside it, ordered per (node, shard)
+// by the node's applied-watermark (taken under the node's apply mutex), so
+// concurrent producers fan out across nodes.
 // Pool workers never touch the router mutex: query scatter tasks read only
 // state frozen by the caller's shared lock, and parallel update-apply tasks
 // touch only node apply mutexes (router bookkeeping happens on the caller
@@ -115,7 +117,9 @@ struct ClusterOptions {
   // watermark) but trades snapshot catch-ups against log memory.
   std::size_t log_retain_batches = 64;
   // Engine knobs for every node's embedded store (the `[backend]` section,
-  // parsed separately by ElasticStoreOptions::FromConfig).
+  // parsed separately by ElasticStoreOptions::FromConfig). The router
+  // overrides shards_per_index to 1: each logical shard is one sub-index
+  // with one sub-shard.
   backend::ElasticStoreOptions store;
 
   // Parses cluster.{nodes,replicas,ack,logical_shards,query_fanout,
@@ -163,8 +167,9 @@ class BackendNode {
   std::map<std::string, std::uint64_t> applied_;
   // Sub-indices with ingest applied since their last refresh, so update
   // barriers skip redundant Refresh calls when replaying a log tail with
-  // consecutive updates (amortizes refresh across an apply batch). Guarded
-  // by apply_mu_; wiped on crash alongside applied_.
+  // consecutive updates (amortizes refresh across an apply batch), and
+  // ClusterRouter::Refresh visits only these. Guarded by apply_mu_; wiped
+  // on crash alongside applied_.
   std::set<std::string> dirty_;
 };
 

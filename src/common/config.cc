@@ -127,8 +127,14 @@ std::vector<std::string> WarnUnknownKeys(
 
 Expected<std::size_t> GetCount(const Config& config, const std::string& key,
                                std::size_t fallback, std::int64_t min) {
-  const std::int64_t value =
-      config.GetInt(key, static_cast<std::int64_t>(fallback));
+  if (!config.Has(key)) return fallback;
+  const std::string text = config.GetString(key);
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return InvalidArgument(key + " must be an integer (got '" + text + "')");
+  }
   if (value < min) {
     return InvalidArgument(key + " must be >= " + std::to_string(min) +
                            " (got " + std::to_string(value) + ")");

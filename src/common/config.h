@@ -58,7 +58,7 @@ std::vector<std::string> WarnUnknownKeys(
     std::initializer_list<std::string_view> known);
 
 // One integer count key: `fallback` when absent, and an InvalidArgument
-// naming the key when its value is below `min`.
+// naming the key when its value is not an integer or is below `min`.
 Expected<std::size_t> GetCount(const Config& config, const std::string& key,
                                std::size_t fallback, std::int64_t min);
 

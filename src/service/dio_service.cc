@@ -100,7 +100,7 @@ Expected<SessionInfo> DioService::StartSession(
       return std::unique_ptr<transport::Transport>(
           std::make_unique<cluster::ClusterBulkSink>(
               router_, index, client_options.network_latency_ns,
-              kernel_->clock()));
+              kernel_->clock(), client_options.refresh_interval()));
     }
     return std::unique_ptr<transport::Transport>(
         std::make_unique<backend::BulkClient>(store_, index, client_options,
@@ -126,9 +126,10 @@ Expected<SessionInfo> DioService::StartSessionFromConfig(const Config& config,
   if (!tracer_options.ok()) return tracer_options.status();
   auto pipeline_options = transport::PipelineOptions::FromConfig(config);
   if (!pipeline_options.ok()) return pipeline_options.status();
+  auto client_options = backend::BulkClientOptions::FromConfig(config);
+  if (!client_options.ok()) return client_options.status();
   return StartSession(std::move(tracer_options).value(), std::move(owner),
-                      backend::BulkClientOptions::FromConfig(config),
-                      std::move(pipeline_options).value());
+                      *client_options, std::move(pipeline_options).value());
 }
 
 Status DioService::StopSession(const std::string& name) {

@@ -88,7 +88,8 @@ class DioService {
   // Starts a tracing session; options.session_name must be unique among
   // live AND finished sessions (each maps to a backend index). The shipping
   // path is assembled from `pipeline_options`; the "bulk" sink resolves to
-  // a BulkClient built from `client_options`.
+  // a BulkClient built from `client_options`, or on a cluster to a
+  // ClusterBulkSink with the same network latency and refresh interval.
   Expected<SessionInfo> StartSession(
       tracer::TracerOptions options, std::string owner = "",
       backend::BulkClientOptions client_options = {},
@@ -96,7 +97,8 @@ class DioService {
 
   // Config-driven variant: [tracer] -> TracerOptions, [transport] ->
   // PipelineOptions + BulkClientOptions. Unrecognized keys in either
-  // section are warned about at parse time.
+  // section are warned about at parse time; a rejected value fails the
+  // call with the parser's error, which names the key.
   Expected<SessionInfo> StartSessionFromConfig(const Config& config,
                                                std::string owner = "");
 

@@ -37,6 +37,10 @@ namespace {
 constexpr Nanos kTimeBase = kSecond;
 constexpr Nanos kTaskTimeStride = 64 * kSecond;
 constexpr Nanos kOpTimeDelta = kMicrosecond;
+// Refresh deadline of both terminal sinks on the sim clock: about every
+// ten tracer batches (flush_interval 100 us, 50 us network hop), so a run
+// refreshes mid-stream many times before the final flush.
+constexpr std::int64_t kSimRefreshIntervalMs = 1;
 
 // AckLossSink: sim-only decorator modeling "the bulk request was indexed
 // but the acknowledgement was lost on the way back". Every Nth successful
@@ -485,13 +489,14 @@ Expected<RunData> RunOnce(const SimOptions& options, const FaultPlan& plan,
     cluster_options.store = store_options;
     router = std::make_unique<cluster::ClusterRouter>(cluster_options);
     auto sink = std::make_unique<cluster::ClusterBulkSink>(
-        router.get(), session, 50 * kMicrosecond, &sim_clock);
+        router.get(), session, 50 * kMicrosecond, &sim_clock,
+        kSimRefreshIntervalMs * kMillisecond);
     cluster_sink_ptr = sink.get();
     terminal = std::move(sink);
   } else {
     backend::BulkClientOptions bulk_options;
     bulk_options.network_latency_ns = 50 * kMicrosecond;
-    bulk_options.refresh_every_batches = 4;
+    bulk_options.refresh_interval_ms = kSimRefreshIntervalMs;
     terminal = std::make_unique<backend::BulkClient>(&store, session,
                                                      bulk_options, &sim_clock);
   }

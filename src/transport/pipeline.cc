@@ -13,7 +13,7 @@ Expected<PipelineOptions> PipelineOptions::FromConfig(const Config& config) {
        "retry_initial_backoff_ns", "retry_backoff_multiplier",
        "retry_max_backoff_ns", "retry_jitter", "retry_deadline_ns",
        "fault_rate", "fault_seed", "sinks", "trace_path",
-       "network_latency_ns", "refresh_every_batches", "auto_correlate"});
+       "network_latency_ns", "refresh_interval_ms", "auto_correlate"});
 
   PipelineOptions options;
   options.queue.max_queued_batches = static_cast<std::size_t>(

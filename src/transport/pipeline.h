@@ -21,7 +21,8 @@
 //   sinks                     comma list of terminal sinks (bulk, trace, ...)
 //   trace_path                trace v1 file for the "trace" sink
 //   network_latency_ns        (bulk sink) simulated one-way hop latency
-//   refresh_every_batches     (bulk sink) near-real-time refresh cadence
+//   refresh_interval_ms       (bulk sink) near-real-time refresh deadline,
+//                             checked after each accepted batch (0 = flush)
 //   auto_correlate            (bulk sink) run correlation on flush
 //
 // Unrecognized [transport] keys are warned about at parse time so typos in

@@ -78,19 +78,13 @@ void CheckAgainstOracle(const ColumnSet& columns,
     EXPECT_EQ(col->str(pos), order[pos]) << "seed " << seed << " pos " << pos;
   }
 
-  // Rank property: sorted_rank[ord] is the position of dict[ord] in the
-  // sorted oracle, and rank_to_ord is its exact inverse.
-  ASSERT_EQ(col->sorted_rank.size(), col->dict.size()) << "seed " << seed;
+  // Rank property: rank_to_ord[rank] is the ordinal of the sorted oracle's
+  // entry at that rank (so, with the dictionary holding exactly the unique
+  // strings, rank_to_ord is the sorting permutation).
   ASSERT_EQ(col->rank_to_ord.size(), col->dict.size()) << "seed " << seed;
-  for (std::uint32_t ord = 0; ord < col->dict.size(); ++ord) {
-    const auto it =
-        std::lower_bound(oracle.begin(), oracle.end(), col->dict[ord]);
-    const auto expected_rank =
-        static_cast<std::uint32_t>(it - oracle.begin());
-    EXPECT_EQ(col->sorted_rank[ord], expected_rank)
-        << "seed " << seed << " dict entry '" << col->dict[ord] << "'";
-    EXPECT_EQ(col->rank_to_ord[col->sorted_rank[ord]], ord)
-        << "seed " << seed;
+  for (std::uint32_t rank = 0; rank < col->rank_to_ord.size(); ++rank) {
+    EXPECT_EQ(col->dict[col->rank_to_ord[rank]], oracle[rank])
+        << "seed " << seed << " rank " << rank;
   }
 
   // Prefix rank-range property: [lo, hi) from PrefixRankRange equals the
@@ -173,7 +167,6 @@ TEST(DocValuesPropertyTest, SealedSegmentRanksSurviveLaterRefreshes) {
     struct SealedSnapshot {
       const ColumnSegment* identity;
       std::vector<std::string> dict;
-      std::vector<std::uint32_t> sorted_rank;
       std::vector<std::uint32_t> rank_to_ord;
     };
     std::vector<SealedSnapshot> sealed;
@@ -206,7 +199,6 @@ TEST(DocValuesPropertyTest, SealedSegmentRanksSurviveLaterRefreshes) {
         const DocValueColumn* col = current->columns.Find("s");
         ASSERT_NE(col, nullptr) << "seed " << seed;
         EXPECT_EQ(col->dict, snap.dict) << "seed " << seed;
-        EXPECT_EQ(col->sorted_rank, snap.sorted_rank) << "seed " << seed;
         EXPECT_EQ(col->rank_to_ord, snap.rank_to_ord) << "seed " << seed;
       }
       // Record any newly sealed blocks.
@@ -216,8 +208,7 @@ TEST(DocValuesPropertyTest, SealedSegmentRanksSurviveLaterRefreshes) {
         if (!segment->sealed) break;
         const DocValueColumn* col = segment->columns.Find("s");
         ASSERT_NE(col, nullptr) << "seed " << seed;
-        sealed.push_back({segment, col->dict, col->sorted_rank,
-                          col->rank_to_ord});
+        sealed.push_back({segment, col->dict, col->rank_to_ord});
       }
       // And independently of retention, every segment's rank tables must
       // match the sorted oracle over exactly its own rows.
@@ -229,19 +220,80 @@ TEST(DocValuesPropertyTest, SealedSegmentRanksSurviveLaterRefreshes) {
             SortedUnique(rows_by_segment[idx]);
         ASSERT_EQ(col->dict.size(), oracle.size())
             << "seed " << seed << " segment " << idx;
-        for (std::uint32_t ord = 0; ord < col->dict.size(); ++ord) {
-          const auto it =
-              std::lower_bound(oracle.begin(), oracle.end(), col->dict[ord]);
-          EXPECT_EQ(col->sorted_rank[ord],
-                    static_cast<std::uint32_t>(it - oracle.begin()))
-              << "seed " << seed << " segment " << idx;
-          EXPECT_EQ(col->rank_to_ord[col->sorted_rank[ord]], ord)
+        ASSERT_EQ(col->rank_to_ord.size(), oracle.size())
+            << "seed " << seed << " segment " << idx;
+        for (std::uint32_t rank = 0; rank < oracle.size(); ++rank) {
+          EXPECT_EQ(col->dict[col->rank_to_ord[rank]], oracle[rank])
               << "seed " << seed << " segment " << idx;
         }
       }
     }
     EXPECT_GT(sealed.size(), 0u) << "seed " << seed
                                  << ": no segment ever sealed";
+  }
+}
+
+// Appending to a tail with a large dictionary may leave the newest strings
+// unranked (rank_to_ord then covers only the older ordinals); a prefix
+// query must still match exactly the rows whose string has the prefix, and
+// the block must be fully ranked once it seals.
+TEST(DocValuesPropertyTest, LargeTailDefersRanksAndSealsFullyRanked) {
+  constexpr std::size_t kSegmentDocs = 6000;
+  SegmentedColumns segments(kSegmentDocs, FilterBitmapCache::kDefaultEntries);
+  Random rng(31);
+  std::vector<std::string> rows;
+  const auto refresh = [&](std::size_t count) {
+    StagedSegmentBuild build(segments);
+    for (std::size_t i = 0; i < count; ++i) {
+      build.PrepareRow();
+      rows.push_back("k" + std::to_string(rng.Uniform(1'000'000)));
+      Json doc = Json::MakeObject();
+      doc.Set("s", Json(rows.back()));
+      build.tail().AppendDoc(doc);
+    }
+    build.Finish();
+    build.Commit(&segments);
+  };
+  const auto expect_prefix_exact = [&](const std::string& prefix) {
+    const ColumnSet& columns = segments.segments().back()->columns;
+    const std::vector<Json> docs(columns.num_docs());
+    const Query query = Query::Prefix("s", prefix);
+    const FilterBitmap matches =
+        CompiledQuery(query, columns).Eval(docs, nullptr);
+    for (std::size_t pos = 0; pos < rows.size(); ++pos) {
+      EXPECT_EQ(matches.Test(pos), rows[pos].starts_with(prefix))
+          << "prefix '" << prefix << "' row " << pos;
+    }
+  };
+  const auto column = [&segments]() {
+    return segments.segments().back()->columns.Find("s");
+  };
+
+  refresh(5000);
+  ASSERT_EQ(column()->rank_to_ord.size(), column()->dict.size());
+  const std::size_t ranked = column()->rank_to_ord.size();
+  ASSERT_GE(ranked, 4096u);
+
+  refresh(40);
+  EXPECT_EQ(column()->rank_to_ord.size(), ranked)
+      << "a few new strings over a large dictionary should stay unranked";
+  EXPECT_GT(column()->dict.size(), ranked);
+  for (const std::string prefix : {"k", "k1", "k12", "k99", "k5", "x"}) {
+    expect_prefix_exact(prefix);
+  }
+  // A prefix that only unranked strings have.
+  expect_prefix_exact(rows.back());
+
+  refresh(kSegmentDocs - rows.size());  // fills the tail: it seals
+  ASSERT_TRUE(segments.segments().back()->sealed);
+  const DocValueColumn* col = column();
+  ASSERT_EQ(col->rank_to_ord.size(), col->dict.size());
+  for (std::size_t rank = 1; rank < col->rank_to_ord.size(); ++rank) {
+    EXPECT_LT(col->dict[col->rank_to_ord[rank - 1]],
+              col->dict[col->rank_to_ord[rank]]);
+  }
+  for (const std::string prefix : {"k", "k1", "k12", "k99", "k5"}) {
+    expect_prefix_exact(prefix);
   }
 }
 

@@ -17,13 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "backend/reference_backend.h"
 #include "backend/store.h"
 #include "common/random.h"
+#include "test_util.h"
 #include "tracer/wire.h"
 
 namespace dio::backend {
@@ -234,6 +238,147 @@ TEST(SegmentRetentionTest, InterleavedMutationsMatchAllOracles) {
     EXPECT_EQ(unsealed_stats->sealed_segments, 0u);
     EXPECT_EQ(json_store.Stats(kIndex)->doc_count,
               static_cast<std::size_t>(docnum));
+  }
+}
+
+// Refresh cadence parity for the append-in-place refresh. One store is
+// refreshed after every batch, so each refresh appends a few rows to live
+// tails whose dictionaries keep growing; a twin is refreshed once at the
+// end; the JSON reference is refreshed alongside the first. Paths arrive
+// mid-stream in three families ("a-", "m-", "z-") so the rank range of the
+// prefix "/data/db/m-" moves on both ends as new strings sort in before it
+// and inside it, and a JSON field first seen mid-stream exercises a column
+// that is new to a live tail. Every read after every refresh, and the final
+// snapshots, must be byte-identical.
+tracer::WireEvent PathWire(Random& rng, int i, int batch) {
+  tracer::WireEvent e = MakeWire(rng, i);
+  static const char* kFamilies[] = {"/data/db/a-", "/data/db/m-",
+                                    "/data/db/z-"};
+  const std::string path = std::string(kFamilies[rng.Uniform(3)]) +
+                           std::to_string(rng.Uniform(
+                               static_cast<std::uint64_t>(2 + batch)));
+  e.path_len = tracer::WireEvent::FillString(e.path, tracer::kWirePathCap,
+                                             path, &e.path_trunc);
+  return e;
+}
+
+std::string CadenceRead(const QueryBackend& store, std::size_t which) {
+  switch (which) {
+    case 0: {
+      auto count = store.Count(kIndex, Query::Prefix("path", "/data/db/m-"));
+      return "m=" + std::to_string(count.ok() ? *count : 0);
+    }
+    case 1: {
+      SearchRequest request;
+      request.query = Query::Prefix("path", "/data/db/m-");
+      request.sort = {{"path", true}, {"time_enter", false}};
+      request.size = 40;
+      auto result = store.Search(kIndex, request);
+      return result.ok() ? DumpResult(*result) : "search-error";
+    }
+    case 2: {
+      auto agg = store.Aggregate(
+          kIndex, Query::Prefix("path", "/data/db/"),
+          Aggregation::Terms("path", 100).SubAgg(
+              "lat", Aggregation::Stats("duration_ns")));
+      return agg.ok() ? DumpAgg(*agg) : "agg-error";
+    }
+    case 3: {
+      auto count = store.Count(kIndex, Query::Exists("late_field"));
+      return "late=" + std::to_string(count.ok() ? *count : 0);
+    }
+    default: {
+      SearchRequest request;
+      request.query = Query::Terms("comm", {Json("postgres"), Json("late")});
+      request.sort = {{"time_enter", true}};
+      request.size = 30;
+      auto result = store.Search(kIndex, request);
+      return result.ok() ? DumpResult(*result) : "search-error";
+    }
+  }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(SegmentRetentionTest, RefreshPerBatchMatchesOneRefresh) {
+  for (const std::size_t segment_docs :
+       {std::size_t{4}, std::numeric_limits<std::size_t>::max()}) {
+    SCOPED_TRACE("segment_docs=" + std::to_string(segment_docs));
+    ElasticStoreOptions options;
+    options.shards_per_index = 2;
+    options.segment_docs = segment_docs;
+    ElasticStore per_batch(options);
+    ElasticStore once(options);
+    ReferenceBackend reference;
+
+    Random rng(4242);
+    int docnum = 0;
+    for (int batch = 0; batch < 24; ++batch) {
+      if (batch % 6 == 5) {
+        // JSON rows with a field no earlier row had.
+        std::vector<Json> docs;
+        for (int i = 0; i < 3; ++i) {
+          Json doc = Json::MakeObject();
+          doc.Set("comm", "late");
+          doc.Set("time_enter", static_cast<std::int64_t>(docnum * 7));
+          doc.Set("path", "/data/db/m-json-" + std::to_string(batch));
+          doc.Set("late_field", static_cast<std::int64_t>(batch));
+          docs.push_back(std::move(doc));
+          ++docnum;
+        }
+        per_batch.Bulk(kIndex, docs);
+        once.Bulk(kIndex, docs);
+        reference.Bulk(kIndex, std::move(docs));
+      } else {
+        const int size = static_cast<int>(1 + rng.Uniform(9));
+        std::vector<tracer::WireEvent> records;
+        for (int i = 0; i < size; ++i) {
+          records.push_back(PathWire(rng, docnum++, batch));
+        }
+        per_batch.BulkWire(kIndex, kSession, records);
+        once.BulkWire(kIndex, kSession, records);
+        reference.BulkWire(kIndex, kSession, records);
+      }
+      per_batch.Refresh(kIndex);
+      reference.Refresh(kIndex);
+      for (std::size_t which = 0; which < 5; ++which) {
+        EXPECT_EQ(CadenceRead(reference, which),
+                  CadenceRead(per_batch, which))
+            << "read " << which << " after batch " << batch;
+      }
+    }
+    once.Refresh(kIndex);
+    for (std::size_t which = 0; which < 5; ++which) {
+      const std::string expected = CadenceRead(reference, which);
+      EXPECT_EQ(expected, CadenceRead(per_batch, which)) << "read " << which;
+      EXPECT_EQ(expected, CadenceRead(once, which)) << "read " << which;
+    }
+    EXPECT_EQ(*per_batch.Count(kIndex, Query::MatchAll()),
+              static_cast<std::size_t>(docnum));
+    EXPECT_EQ(per_batch.Stats(kIndex)->refreshes, 24u);
+
+    // Snapshots: the two stores write byte-identical files, whose rows are
+    // the reference's documents in docid order.
+    const std::string a = testing::TestTempPath("-per-batch.jsonl");
+    const std::string b = testing::TestTempPath("-once.jsonl");
+    ASSERT_TRUE(per_batch.SaveIndex(kIndex, a).ok());
+    ASSERT_TRUE(once.SaveIndex(kIndex, b).ok());
+    const std::string snapshot = ReadFile(a);
+    EXPECT_EQ(snapshot, ReadFile(b));
+    SearchRequest all;
+    all.size = std::numeric_limits<std::size_t>::max();
+    auto docs = reference.Search(kIndex, all);
+    ASSERT_TRUE(docs.ok());
+    std::string rows;
+    for (const Hit& hit : docs->hits) rows += hit.source.Dump() + "\n";
+    EXPECT_EQ(snapshot.substr(snapshot.find('\n') + 1), rows);
+    std::remove(a.c_str());
+    std::remove(b.c_str());
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "backend/store.h"
+#include "test_util.h"
 
 namespace dio::backend {
 namespace {
@@ -21,25 +22,25 @@ Json Doc(int i, const std::string& syscall) {
 
 class SnapshotTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(kPath); }
-  static constexpr const char* kPath = "/tmp/dio_snapshot_test.jsonl";
+  void TearDown() override { std::remove(path_.c_str()); }
+  const std::string path_ = testing::TestTempPath(".jsonl");
 
   // The snapshot file's lines (header first).
-  static std::vector<std::string> ReadLines() {
-    std::ifstream in(kPath);
+  std::vector<std::string> ReadLines() const {
+    std::ifstream in(path_);
     std::vector<std::string> lines;
     for (std::string line; std::getline(in, line);) lines.push_back(line);
     return lines;
   }
-  static void WriteLines(const std::vector<std::string>& lines) {
-    std::ofstream out(kPath, std::ios::trunc);
+  void WriteLines(const std::vector<std::string>& lines) const {
+    std::ofstream out(path_, std::ios::trunc);
     for (const std::string& line : lines) out << line << "\n";
   }
-  // Loads kPath into a fresh store and expects a rejection whose message
+  // Loads path_ into a fresh store and expects a rejection whose message
   // contains `where`, with no index left behind.
-  static void ExpectRejected(const std::string& where) {
+  void ExpectRejected(const std::string& where) const {
     ElasticStore fresh;
-    auto loaded = fresh.LoadIndex(kPath);
+    auto loaded = fresh.LoadIndex(path_);
     ASSERT_FALSE(loaded.ok()) << where;
     EXPECT_NE(loaded.status().message().find(where), std::string::npos)
         << loaded.status().message();
@@ -52,10 +53,10 @@ class SnapshotTest : public ::testing::Test {
 TEST_F(SnapshotTest, SaveLoadRoundTrip) {
   store_.Bulk("session-a", {Doc(1, "read"), Doc(2, "write"), Doc(3, "read")});
   store_.Refresh("session-a");
-  ASSERT_TRUE(store_.SaveIndex("session-a", kPath).ok());
+  ASSERT_TRUE(store_.SaveIndex("session-a", path_).ok());
 
   ElasticStore fresh;
-  auto loaded = fresh.LoadIndex(kPath);
+  auto loaded = fresh.LoadIndex(path_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, "session-a");
   EXPECT_EQ(*fresh.Count("session-a", Query::MatchAll()), 3u);
@@ -70,8 +71,8 @@ TEST_F(SnapshotTest, SaveLoadRoundTrip) {
 TEST_F(SnapshotTest, LoadWithRename) {
   store_.Bulk("orig", {Doc(1, "read")});
   store_.Refresh("orig");
-  ASSERT_TRUE(store_.SaveIndex("orig", kPath).ok());
-  auto loaded = store_.LoadIndex(kPath, "copy");
+  ASSERT_TRUE(store_.SaveIndex("orig", path_).ok());
+  auto loaded = store_.LoadIndex(path_, "copy");
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, "copy");
   EXPECT_EQ(*store_.Count("copy", Query::MatchAll()), 1u);
@@ -81,29 +82,29 @@ TEST_F(SnapshotTest, LoadWithRename) {
 TEST_F(SnapshotTest, LoadRefusesExistingIndex) {
   store_.Bulk("dup", {Doc(1, "read")});
   store_.Refresh("dup");
-  ASSERT_TRUE(store_.SaveIndex("dup", kPath).ok());
-  EXPECT_FALSE(store_.LoadIndex(kPath).ok());  // "dup" still present
+  ASSERT_TRUE(store_.SaveIndex("dup", path_).ok());
+  EXPECT_FALSE(store_.LoadIndex(path_).ok());  // "dup" still present
 }
 
 TEST_F(SnapshotTest, ErrorsOnBadInputs) {
-  EXPECT_FALSE(store_.SaveIndex("ghost", kPath).ok());
+  EXPECT_FALSE(store_.SaveIndex("ghost", path_).ok());
   EXPECT_FALSE(store_.LoadIndex("/no/such/file").ok());
   // Not a snapshot file.
-  FILE* f = std::fopen(kPath, "w");
+  FILE* f = std::fopen(path_.c_str(), "w");
   std::fputs("{\"random\":\"json\"}\n", f);
   std::fclose(f);
-  EXPECT_FALSE(store_.LoadIndex(kPath).ok());
+  EXPECT_FALSE(store_.LoadIndex(path_).ok());
 }
 
 TEST_F(SnapshotTest, CorruptLineRollsBack) {
   store_.Bulk("roll", {Doc(1, "read")});
   store_.Refresh("roll");
-  ASSERT_TRUE(store_.SaveIndex("roll", kPath).ok());
-  FILE* f = std::fopen(kPath, "a");
+  ASSERT_TRUE(store_.SaveIndex("roll", path_).ok());
+  FILE* f = std::fopen(path_.c_str(), "a");
   std::fputs("{corrupt!!\n", f);
   std::fclose(f);
   ElasticStore fresh;
-  auto loaded = fresh.LoadIndex(kPath);
+  auto loaded = fresh.LoadIndex(path_);
   ASSERT_FALSE(loaded.ok());
   // 1-based: header, one row, then the corrupt line.
   EXPECT_NE(loaded.status().message().find(":3: corrupt snapshot line"),
@@ -117,7 +118,7 @@ TEST_F(SnapshotTest, CorruptLineRollsBack) {
 TEST_F(SnapshotTest, MissingLineIsRejected) {
   store_.Bulk("cut", {Doc(1, "read"), Doc(2, "write"), Doc(3, "read")});
   store_.Refresh("cut");
-  ASSERT_TRUE(store_.SaveIndex("cut", kPath).ok());
+  ASSERT_TRUE(store_.SaveIndex("cut", path_).ok());
   std::vector<std::string> lines = ReadLines();
   ASSERT_EQ(lines.size(), 4u);
   lines.pop_back();
@@ -128,7 +129,7 @@ TEST_F(SnapshotTest, MissingLineIsRejected) {
 TEST_F(SnapshotTest, ExtraLineIsRejected) {
   store_.Bulk("long", {Doc(1, "read"), Doc(2, "write")});
   store_.Refresh("long");
-  ASSERT_TRUE(store_.SaveIndex("long", kPath).ok());
+  ASSERT_TRUE(store_.SaveIndex("long", path_).ok());
   std::vector<std::string> lines = ReadLines();
   ASSERT_EQ(lines.size(), 3u);
   lines.push_back(lines.back());
@@ -148,15 +149,15 @@ TEST_F(SnapshotTest, BadHeaderIsRejected) {
         std::string(R"(["dio_index_snapshot"])"), std::string("{oops")}) {
     SCOPED_TRACE(header);
     WriteLines({header, row});
-    ExpectRejected(std::string(kPath) + ":1:");
+    ExpectRejected(std::string(path_) + ":1:");
   }
 }
 
 TEST_F(SnapshotTest, EmptyIndexRoundTrips) {
   ASSERT_TRUE(store_.CreateIndex("empty").ok());
-  ASSERT_TRUE(store_.SaveIndex("empty", kPath).ok());
+  ASSERT_TRUE(store_.SaveIndex("empty", path_).ok());
   ElasticStore fresh;
-  ASSERT_TRUE(fresh.LoadIndex(kPath).ok());
+  ASSERT_TRUE(fresh.LoadIndex(path_).ok());
   EXPECT_EQ(*fresh.Count("empty", Query::MatchAll()), 0u);
 }
 

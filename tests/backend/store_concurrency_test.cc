@@ -271,6 +271,146 @@ TEST(StoreConcurrencyTest, SegmentedOffLockBuildHammer) {
   EXPECT_EQ(stats->refreshes, static_cast<std::uint64_t>(kBatches));
 }
 
+// Append-in-place hammer: with one never-sealed tail per sub-shard every
+// refresh appends to the live tail the readers are scanning. Each batch
+// brings strings no earlier batch had (its own path and comm), so every
+// refresh merges dictionary suffixes and swaps rank arrays; every fifth
+// batch is JSON rows with a field the tail has not seen; update-by-query
+// rewrites tail rows in place. Readers run prefix counts (whose rank range
+// moves), path-sorted searches, terms aggregations and counts: a prefix
+// count never falls between two reads, sorted hits stay sorted, and
+// totals stay between what was published before the call and the final
+// total. Compiled into tsan_stress_test and asan_parsers_test as well.
+TEST(StoreConcurrencyTest, AppendInPlaceTailHammer) {
+  ElasticStoreOptions options;
+  options.shards_per_index = 2;
+  options.query_threads = 2;
+  options.segment_docs = std::numeric_limits<std::size_t>::max();
+  ElasticStore store(options);
+
+  constexpr int kBatches = 60;
+  constexpr int kBatchSize = 16;
+  constexpr std::size_t kTotalDocs = kBatches * kBatchSize;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> visible{0};
+
+  std::thread writer([&] {
+    int docnum = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      const std::string tag = std::to_string(kBatches - b);
+      if (b % 5 == 4) {
+        std::vector<Json> docs;
+        for (int i = 0; i < kBatchSize; ++i) {
+          Json doc = Event(docnum++);
+          doc.Set("path", "/data/db/json-" + tag);
+          doc.Set("batch_" + tag, static_cast<std::int64_t>(b));
+          docs.push_back(std::move(doc));
+        }
+        store.Bulk("tail", std::move(docs));
+      } else {
+        std::vector<tracer::WireEvent> batch;
+        for (int i = 0; i < kBatchSize; ++i) {
+          tracer::WireEvent e = Wire(docnum++);
+          const std::string path =
+              std::string(i % 2 ? "/data/db/m-" : "/data/db/a-") + tag;
+          e.path_len = tracer::WireEvent::FillString(
+              e.path, tracer::kWirePathCap, path, &e.path_trunc);
+          e.comm_len = tracer::WireEvent::FillString(
+              e.comm, tracer::kWireCommCap, "comm-" + tag, &e.comm_trunc);
+          batch.push_back(e);
+        }
+        store.BulkWire("tail", "hammer", std::move(batch));
+      }
+      store.Refresh("tail");
+      visible.store(static_cast<std::size_t>(docnum),
+                    std::memory_order_release);
+      if (b % 12 == 11) {
+        auto updated = store.UpdateByQuery(
+            "tail", Query::Term("syscall", "fsync"), [](Json& d) {
+              if (d.Has("flagged")) return false;
+              d.Set("flagged", true);
+              return true;
+            });
+        EXPECT_TRUE(updated.ok());
+      }
+    }
+    stop.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      constexpr std::uint64_t kMaxIterations = 20'000;
+      std::uint64_t iterations = 0;
+      std::size_t last_prefix = 0;
+      while (!stop.load(std::memory_order_acquire) &&
+             iterations < kMaxIterations) {
+        ++iterations;
+        std::this_thread::yield();
+        if (!store.HasIndex("tail")) continue;
+        const std::size_t floor = visible.load(std::memory_order_acquire);
+        switch ((iterations + static_cast<std::uint64_t>(r)) % 4) {
+          case 0: {
+            auto count =
+                store.Count("tail", Query::Prefix("path", "/data/db/m-"));
+            if (count.ok()) {
+              EXPECT_GE(*count, last_prefix);
+              last_prefix = *count;
+            }
+            break;
+          }
+          case 1: {
+            SearchRequest request;
+            request.query = Query::Prefix("path", "/data/db/");
+            request.sort = {{"path", true}};
+            request.size = 20;
+            auto result = store.Search("tail", request);
+            if (result.ok()) {
+              EXPECT_GE(result->total, floor);
+              for (std::size_t i = 1; i < result->hits.size(); ++i) {
+                EXPECT_LE(result->hits[i - 1].source.GetString("path"),
+                          result->hits[i].source.GetString("path"));
+              }
+            }
+            break;
+          }
+          case 2: {
+            auto result = store.Aggregate("tail", Query::MatchAll(),
+                                          Aggregation::Terms("comm", 200));
+            if (result.ok()) {
+              std::size_t bucketed = 0;
+              for (const AggBucket& bucket : result->buckets) {
+                bucketed += static_cast<std::size_t>(bucket.doc_count);
+              }
+              EXPECT_LE(bucketed, kTotalDocs);
+            }
+            break;
+          }
+          default: {
+            auto count = store.Count("tail", Query::MatchAll());
+            if (count.ok()) {
+              EXPECT_GE(*count, floor);
+              EXPECT_LE(*count, kTotalDocs);
+            }
+            break;
+          }
+        }
+      }
+    });
+  }
+
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(*store.Count("tail", Query::MatchAll()), kTotalDocs);
+  auto stats = store.Stats("tail");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->sealed_segments, 0u);
+  EXPECT_EQ(stats->segments, 2u);
+  EXPECT_EQ(stats->refreshes, static_cast<std::uint64_t>(kBatches));
+}
+
 // Per-segment aggregation under concurrent typed ingest: readers run the
 // four dashboard aggregations on a two-thread query pool while the writer
 // bulks wire records and refreshes across seal boundaries. Each Aggregate

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "backend/store.h"
+#include "cluster/cluster_sink.h"
 #include "cluster/router.h"
+#include "common/clock.h"
 
 namespace dio::cluster {
 namespace {
@@ -125,6 +127,105 @@ TEST(ClusterConcurrencyTest, ParallelIngestWithChaosConvergesExactlyOnce) {
   for (std::uint64_t i = 0; i < kTotal; ++i) {
     EXPECT_EQ(result->hits[i].id, i);
   }
+}
+
+// Router queries during periodic refreshes: a sender drives a
+// ClusterBulkSink whose refresh deadline comes due on every batch, so
+// ClusterRouter::Refresh runs all the time, while readers scatter Count,
+// Search, Aggregate and Stats. Refresh holds the router mutex shared, so
+// the readers run beside it; each read sees at least every batch that was
+// refreshed before it started and never more than the whole stream.
+TEST(ClusterConcurrencyTest, QueriesRunDuringPeriodicRefresh) {
+  constexpr int kBatches = 60;
+  constexpr int kPerBatch = 12;
+  constexpr std::uint64_t kTotal = kBatches * kPerBatch;
+
+  ClusterOptions opts;
+  opts.nodes = 3;
+  opts.replicas = 1;
+  opts.ack = AckLevel::kQuorum;
+  opts.logical_shards = 8;
+  opts.query_threads = 2;
+  ClusterRouter router(opts);
+  ManualClock clock;
+  ClusterBulkSink sink(&router, "events", /*network_latency_ns=*/0, &clock,
+                       kMillisecond);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> visible{0};
+  std::thread sender([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<Json> docs;
+      for (int i = 0; i < kPerBatch; ++i) {
+        docs.push_back(Doc(100 + i % 5, 1'000 + b * kPerBatch + i, b));
+      }
+      clock.AdvanceNanos(kMillisecond);
+      transport::EventBatch batch;
+      batch.documents = std::move(docs);
+      EXPECT_TRUE(sink.Submit(std::move(batch)).ok());
+      visible.store(static_cast<std::uint64_t>((b + 1) * kPerBatch),
+                    std::memory_order_release);
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t iterations = 0;
+      while (!stop.load(std::memory_order_acquire) && iterations < 20'000) {
+        ++iterations;
+        std::this_thread::yield();
+        if (!router.HasIndex("events")) continue;
+        const std::uint64_t floor = visible.load(std::memory_order_acquire);
+        std::uint64_t seen = 0;
+        switch ((iterations + static_cast<std::uint64_t>(r)) % 4) {
+          case 0: {
+            auto count = router.Count("events", Query::MatchAll());
+            if (!count.ok()) continue;
+            seen = *count;
+            break;
+          }
+          case 1: {
+            backend::SearchRequest request;
+            request.sort = {{"time_enter", false}};
+            request.size = 10;
+            auto result = router.Search("events", request);
+            if (!result.ok()) continue;
+            for (std::size_t i = 1; i < result->hits.size(); ++i) {
+              EXPECT_GE(result->hits[i - 1].source.GetInt("time_enter"),
+                        result->hits[i].source.GetInt("time_enter"));
+            }
+            seen = result->total;
+            break;
+          }
+          case 2: {
+            auto result = router.Aggregate("events", Query::MatchAll(),
+                                           backend::Aggregation::Terms("tid"));
+            if (!result.ok()) continue;
+            for (const backend::AggBucket& bucket : result->buckets) {
+              seen += static_cast<std::uint64_t>(bucket.doc_count);
+            }
+            break;
+          }
+          default: {
+            auto stats = router.Stats("events");
+            if (!stats.ok()) continue;
+            seen = stats->doc_count;
+            break;
+          }
+        }
+        EXPECT_GE(seen, floor);
+        EXPECT_LE(seen, kTotal);
+      }
+    });
+  }
+
+  sender.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(*router.Count("events", Query::MatchAll()), kTotal);
+  sink.Flush();
+  EXPECT_EQ(router.VerifyConvergence("events"), std::vector<std::string>{});
 }
 
 }  // namespace

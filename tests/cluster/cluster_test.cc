@@ -252,6 +252,30 @@ TEST(ClusterRouterTest, ScatterGatherMatchesSingleStore) {
   EXPECT_EQ(router.VerifyConvergence("events"), std::vector<std::string>{});
 }
 
+// Each logical shard is one sub-index with one sub-shard on a node store,
+// whatever [backend] shards_per_index says (that key sizes the single
+// store): every sub-index a node holds is one segment of its rows.
+TEST(ClusterRouterTest, NodeStoresUseOneSubShardPerLogicalShard) {
+  ClusterOptions opts = Opts(3, 1, AckLevel::kQuorum);
+  opts.store.shards_per_index = 4;
+  ClusterRouter router(opts);
+  EXPECT_EQ(router.options().store.shards_per_index, 1u);
+  ASSERT_TRUE(IngestAll(router, "events", Corpus(6, 20)).ok());
+  router.Refresh("events");
+  std::size_t sub_indices = 0;
+  for (std::size_t n = 0; n < router.node_count(); ++n) {
+    const ElasticStore& store = router.node(n).store();
+    EXPECT_EQ(store.options().shards_per_index, 1u);
+    for (const std::string& sub : store.ListIndices()) {
+      auto stats = store.Stats(sub);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats->segments, 1u) << sub;
+      ++sub_indices;
+    }
+  }
+  EXPECT_GT(sub_indices, 0u);
+}
+
 TEST(ClusterRouterTest, AckPrimaryDefersReplication) {
   ClusterRouter router(Opts(3, 1, AckLevel::kPrimary));
   ASSERT_TRUE(IngestAll(router, "events", Corpus(6, 20)).ok());
@@ -811,6 +835,66 @@ TEST(ClusterBulkSinkTest, SubmitsAndReportsLedgerStats) {
   EXPECT_EQ(stages[0].events_in - stages[0].events_out,
             sink.rejected_events());
   EXPECT_EQ(*router.Count("events", Query::MatchAll()), 24u);
+}
+
+std::uint64_t Visible(const ClusterRouter& router) {
+  auto stats = router.Stats("events");
+  return stats.ok() ? stats->doc_count : 0;
+}
+
+TEST(ClusterBulkSinkTest, RefreshWaitsForTheIntervalOnTheSinkClock) {
+  ClusterRouter router(Opts(3, 1, AckLevel::kQuorum));
+  ManualClock clock;
+  ClusterBulkSink sink(&router, "events", /*network_latency_ns=*/0, &clock,
+                       50 * kMillisecond);
+  const auto corpus = Corpus(4, 10, /*seed=*/5);
+  ASSERT_TRUE(sink.Submit(MakeBatch(corpus[0])).ok());
+  clock.AdvanceNanos(49 * kMillisecond);
+  ASSERT_TRUE(sink.Submit(MakeBatch(corpus[1])).ok());
+  EXPECT_EQ(Visible(router), 0u);
+
+  clock.AdvanceNanos(kMillisecond);
+  ASSERT_TRUE(sink.Submit(MakeBatch(corpus[2])).ok());
+  EXPECT_EQ(Visible(router), 30u);
+  EXPECT_EQ(*router.Count("events", Query::MatchAll()), 30u);
+
+  // The interval restarts at the refresh.
+  ASSERT_TRUE(sink.Submit(MakeBatch(corpus[3])).ok());
+  EXPECT_EQ(Visible(router), 30u);
+  sink.Flush();
+  EXPECT_EQ(Visible(router), 40u);
+}
+
+TEST(ClusterBulkSinkTest, ZeroIntervalRefreshesOnlyOnFlush) {
+  ClusterRouter router(Opts(3, 1, AckLevel::kQuorum));
+  ManualClock clock;
+  ClusterBulkSink sink(&router, "events", /*network_latency_ns=*/0, &clock,
+                       /*refresh_interval=*/0);
+  for (const auto& docs : Corpus(5, 8, /*seed=*/6)) {
+    clock.AdvanceNanos(kSecond);
+    ASSERT_TRUE(sink.Submit(MakeBatch(docs)).ok());
+  }
+  EXPECT_EQ(Visible(router), 0u);
+  sink.Flush();
+  EXPECT_EQ(Visible(router), 40u);
+}
+
+TEST(ClusterBulkSinkTest, RefusedSubmitDoesNotRefresh) {
+  ClusterRouter router(Opts(2, 1, AckLevel::kAll));
+  ManualClock clock;
+  ClusterBulkSink sink(&router, "events", /*network_latency_ns=*/0, &clock,
+                       50 * kMillisecond);
+  const auto corpus = Corpus(3, 12, /*seed=*/7);
+  ASSERT_TRUE(sink.Submit(MakeBatch(corpus[0])).ok());
+  ASSERT_TRUE(router.SetReachable(1, false).ok());
+  clock.AdvanceNanos(kSecond);
+  EXPECT_FALSE(sink.Submit(MakeBatch(corpus[1])).ok());
+  EXPECT_EQ(Visible(router), 0u);
+
+  // The deadline is still due: the next accepted batch refreshes.
+  ASSERT_TRUE(router.SetReachable(1, true).ok());
+  ASSERT_TRUE(sink.Submit(MakeBatch(corpus[1])).ok());
+  EXPECT_EQ(Visible(router), 24u);
 }
 
 }  // namespace

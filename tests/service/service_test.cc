@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <thread>
 
 #include "test_util.h"
 #include "trace/load.h"
@@ -292,8 +295,64 @@ TEST_F(ServiceTest, BadTransportConfigRejectedAtStart) {
   EXPECT_FALSE(service.StartSessionFromConfig(*bad_sink).ok());
 }
 
+TEST_F(ServiceTest, BadBulkSinkConfigRejectedNamingTheKey) {
+  DioService service(&env_.kernel, &store_);
+  for (const char* line : {"refresh_interval_ms = -5",
+                           "refresh_interval_ms = soon",
+                           "network_latency_ns = -1"}) {
+    auto config = Config::ParseString(
+        std::string("[tracer]\nsession = nope\n[transport]\n") + line +
+        "\n");
+    ASSERT_TRUE(config.ok());
+    auto started = service.StartSessionFromConfig(*config);
+    ASSERT_FALSE(started.ok()) << line;
+    const std::string key =
+        std::string(line).substr(0, std::string(line).find(' '));
+    EXPECT_NE(started.status().message().find("transport." + key),
+              std::string::npos)
+        << started.status().message();
+  }
+  EXPECT_FALSE(service.GetSession("nope").ok());
+}
+
 // ---------------------------------------------------------------------------
 // Cluster deployment: the same service fronting a multi-node router.
+
+// The cluster sink refreshes on the service's refresh deadline, so traced
+// rows become searchable while the session runs, not only at StopSession.
+TEST_F(ServiceTest, ClusterSessionRowsSearchableBeforeStop) {
+  cluster::ClusterOptions cluster_options;
+  cluster_options.nodes = 3;
+  cluster_options.replicas = 1;
+  cluster_options.ack = cluster::AckLevel::kQuorum;
+  cluster::ClusterRouter router(cluster_options);
+  DioService service(&env_.kernel, &router);
+  backend::BulkClientOptions client = FastClient();
+  client.refresh_interval_ms = 1;
+  ASSERT_TRUE(service.StartSession(Options("live"), "alice", client).ok());
+
+  std::size_t visible = 0;
+  {
+    auto task = env_.Bind();
+    const auto fd =
+        static_cast<os::Fd>(env_.kernel.sys_creat("/data/live.log", 0644));
+    // Keep issuing syscalls, so batches keep reaching the sink, until a
+    // refresh has made some of them searchable (bounded at ~5 s).
+    for (int i = 0; i < 5000 && visible == 0; ++i) {
+      env_.kernel.sys_write(fd, "x");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (!router.HasIndex("live")) continue;
+      auto count = router.Count("live", backend::Query::MatchAll());
+      if (count.ok()) visible = *count;
+    }
+    env_.kernel.sys_close(fd);
+  }
+  EXPECT_GT(visible, 0u);
+  auto info = service.GetSession("live");
+  ASSERT_TRUE(info.ok());
+  EXPECT_TRUE(info->active);
+  ASSERT_TRUE(service.StopSession("live").ok());
+}
 
 TEST_F(ServiceTest, ClusterSessionShipsReplicatesAndAnalyzes) {
   cluster::ClusterOptions cluster_options;

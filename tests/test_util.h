@@ -3,12 +3,29 @@
 // task for issuing syscalls from the test thread.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <memory>
 #include <string>
 
 #include "oskernel/kernel.h"
 
 namespace dio::testing {
+
+// A file path of the running test's own under ::testing::TempDir(), named
+// from the test and the pid: ctest runs each case as its own process, in
+// parallel under -j, so cases that wrote one fixed path would race.
+inline std::string TestTempPath(const std::string& suffix) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized names
+  }
+  return ::testing::TempDir() + "dio_" + name + "_" +
+         std::to_string(::getpid()) + suffix;
+}
 
 inline os::BlockDeviceOptions FastDisk() {
   os::BlockDeviceOptions options;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "backend/store.h"
 #include "viz/dashboard.h"
 #include "viz/export.h"
 #include "viz/table.h"
 #include "viz/timeseries.h"
+#include "test_util.h"
 
 namespace dio::viz {
 namespace {
@@ -265,12 +269,15 @@ TEST(CategoriesFromTermsTest, ConvertsBuckets) {
 }
 
 TEST(ExportTest, WritesAndFailsGracefully) {
-  EXPECT_TRUE(WriteTextFile("/tmp/dio_viz_test.txt", "content").ok());
+  const std::string file = testing::TestTempPath(".txt");
+  const std::string dir = testing::TestTempPath("_dir");
+  EXPECT_TRUE(WriteTextFile(file, "content").ok());
   // Missing parent directories are created (artifacts land in out/).
-  EXPECT_TRUE(
-      WriteTextFile("/tmp/dio_viz_test_dir/nested/file.txt", "x").ok());
+  EXPECT_TRUE(WriteTextFile(dir + "/nested/file.txt", "x").ok());
   // A path whose parent component is a regular file cannot be created.
-  EXPECT_FALSE(WriteTextFile("/tmp/dio_viz_test.txt/sub/file.txt", "x").ok());
+  EXPECT_FALSE(WriteTextFile(file + "/sub/file.txt", "x").ok());
+  std::filesystem::remove(file);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
