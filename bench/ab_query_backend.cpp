@@ -17,14 +17,25 @@
 // rows (at 20k rows for a smaller run, where the per-call cost would swamp
 // the per-row cost at a smoke-sized event count). Its checksum hashes
 // every result's full dump, so two builds that report the same checksum
-// returned byte-identical aggregations. Emits BENCH_ab_query_backend.json.
+// returned byte-identical aggregations.
+//
+// A third phase, `detect`, times the analysis pass a diagnosis runs after
+// a session: FilePathCorrelator, then the stale-offset and random-access
+// detectors, over 20k typed rows of a synthetic log tailer (one open per
+// file generation, then sequential, stale-start and scattered reads). Each
+// is reported as ns per indexed row, best of 15 rounds, with a checksum
+// over the correlation stats and the rendered findings.
+// Emits BENCH_ab_query_backend.json.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "backend/correlation.h"
+#include "backend/detectors.h"
 #include "backend/store.h"
 #include "bench/harness_util.h"
 #include "common/clock.h"
@@ -266,6 +277,128 @@ PanelsRun RunPanels(std::size_t rows) {
   return run;
 }
 
+// The detect phase's corpus, as typed wire records: kFiles file generations
+// of a log tailer. Each is opened once (openat with its path and tag); every
+// later row reads one generation — sequentially, except that every 8th
+// generation starts at a stale offset (a stale-offset finding) and every 5th
+// reads scattered offsets with pread64 (a random-access finding).
+void FillDetect(ElasticStore& store, std::size_t rows) {
+  constexpr std::size_t kFiles = 64;
+  constexpr std::size_t kBatch = 4096;
+  Random rng(7);
+  std::vector<std::int64_t> next_offset(kFiles, 0);
+  std::vector<tracer::WireEvent> batch;
+  batch.reserve(kBatch);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t f = i < kFiles ? i : rng.Uniform(kFiles);
+    tracer::WireEvent e;
+    e.phase = 2;
+    e.pid = 4242;
+    e.tid = static_cast<std::int32_t>(100 + f % 8);
+    e.comm_len = tracer::WireEvent::FillString(e.comm, tracer::kWireCommCap,
+                                               "flb-tail", &e.comm_trunc);
+    e.time_enter = static_cast<std::int64_t>(i * 13 + rng.Uniform(11));
+    e.time_exit = e.time_enter + 1000 +
+                  static_cast<std::int64_t>(rng.Uniform(4000));
+    e.tag_valid = 1;
+    e.tag_dev = 259;
+    e.tag_ino = 1000 + f;
+    e.tag_ts = 77;
+    if (i < kFiles) {
+      e.nr = static_cast<std::uint8_t>(os::SyscallNr::kOpenat);
+      e.ret = static_cast<std::int64_t>(3 + f);
+      e.path_len = tracer::WireEvent::FillString(
+          e.path, tracer::kWirePathCap, "/var/log/app-" + std::to_string(f),
+          &e.path_trunc);
+      next_offset[f] = f % 8 == 7 ? 4096 : 0;
+    } else {
+      const bool scattered = f % 5 == 4;
+      e.nr = static_cast<std::uint8_t>(scattered ? os::SyscallNr::kPread64
+                                                 : os::SyscallNr::kRead);
+      e.fd = static_cast<std::int32_t>(3 + f);
+      const auto size = static_cast<std::int64_t>(1 + rng.Uniform(4096));
+      e.count = static_cast<std::uint64_t>(size);
+      e.ret = size;
+      e.file_offset = scattered
+                          ? static_cast<std::int64_t>(rng.Uniform(1 << 20))
+                          : next_offset[f];
+      next_offset[f] = e.file_offset + size;
+    }
+    batch.push_back(e);
+    if (batch.size() == kBatch) {
+      store.BulkWire(kIndex, "detect", std::move(batch));
+      batch.clear();
+      batch.reserve(kBatch);
+    }
+  }
+  if (!batch.empty()) store.BulkWire(kIndex, "detect", std::move(batch));
+  store.Refresh(kIndex);
+}
+
+struct DetectRun {
+  std::size_t rows = 0;
+  double ns_per_row[3] = {};  // in kDetectNames order
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;
+  bool ok = true;
+};
+
+constexpr const char* kDetectNames[] = {"stale_offset", "random_access",
+                                        "correlate"};
+
+DetectRun RunDetect(std::size_t rows) {
+  constexpr int kRounds = 15;
+  ElasticStoreOptions options;
+  options.shards_per_index = 4;
+  ElasticStore store(options);
+  FillDetect(store, rows);
+  const auto mix = [](std::uint64_t* hash, const std::string& text) {
+    for (const unsigned char c : text) *hash = (*hash ^ c) * 0x100000001b3ULL;
+  };
+  DetectRun run;
+  run.rows = rows;
+  // Each step is one call returning the text its checksum covers. The
+  // correlator runs first (a re-run updates nothing), so the detectors see
+  // resolved file paths as they do after a session.
+  const std::function<Expected<std::string>()> steps[] = {
+      [&store]() -> Expected<std::string> {
+        auto findings = backend::DetectStaleOffsets(&store, kIndex);
+        if (!findings.ok()) return findings.status();
+        return backend::RenderFindings(*findings);
+      },
+      [&store]() -> Expected<std::string> {
+        auto findings = backend::DetectRandomAccess(&store, kIndex);
+        if (!findings.ok()) return findings.status();
+        return backend::RenderFindings(*findings);
+      },
+      [&store]() -> Expected<std::string> {
+        backend::FilePathCorrelator correlator(&store);
+        auto stats = correlator.Run(kIndex);
+        if (!stats.ok()) return stats.status();
+        return std::to_string(stats->tags_discovered) + "/" +
+               std::to_string(stats->events_resolved) + "/" +
+               std::to_string(stats->events_unresolved);
+      },
+  };
+  backend::FilePathCorrelator first(&store);
+  run.ok = first.Run(kIndex).ok();
+  for (std::size_t d = 0; d < 3; ++d) {
+    double best_ms = 0.0;
+    for (int r = 0; r <= kRounds; ++r) {  // round 0 warms the caches
+      const Nanos t0 = SteadyClock::Instance()->NowNanos();
+      auto text = steps[d]();
+      const double ms = MsSince(t0);
+      if (!text.ok()) run.ok = false;
+      if (r == 0) {
+        if (text.ok()) mix(&run.checksum, *text);
+        continue;
+      }
+      if (r == 1 || ms < best_ms) best_ms = ms;
+    }
+    run.ns_per_row[d] = best_ms * 1e6 / static_cast<double>(rows);
+  }
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -346,6 +479,25 @@ int main(int argc, char** argv) {
                 panels.ns_per_row[2], panels.ns_per_row[3], total,
                 static_cast<unsigned long long>(panels.checksum));
   }
+
+  constexpr std::size_t kDetectRows = 20'000;
+  const DetectRun detect = RunDetect(kDetectRows);
+  Json detect_row = Json::MakeObject();
+  detect_row.Set("phase", "detect");
+  detect_row.Set("rows", static_cast<std::int64_t>(detect.rows));
+  for (std::size_t d = 0; d < 3; ++d) {
+    detect_row.Set(std::string(kDetectNames[d]) + "_ns_per_row",
+                   detect.ns_per_row[d]);
+  }
+  detect_row.Set("checksum", static_cast<std::int64_t>(detect.checksum));
+  report.AddRow(std::move(detect_row));
+  std::printf("\n%-8s %-10s %-14s %-14s %-14s %s\n", "phase", "rows",
+              "stale_offset", "random_access", "correlate",
+              "checksum (ns/row per step)");
+  std::printf("%-8s %-10zu %-14.1f %-14.1f %-14.1f %016llx\n", "detect",
+              detect.rows, detect.ns_per_row[0], detect.ns_per_row[1],
+              detect.ns_per_row[2],
+              static_cast<unsigned long long>(detect.checksum));
   report.Write();
 
   std::printf("\nchecksums (totals across all panels): %s\n",
@@ -353,6 +505,10 @@ int main(int argc, char** argv) {
                               : "MISMATCH");
   std::printf("note: thread rows measure fan-out overhead too; on a "
               "single-core host they cannot show a parallel speedup.\n");
+  if (!detect.ok) {
+    std::printf("detect phase: a step failed\n");
+    return 1;
+  }
   if (!checksums_agree) return 1;
   return 0;
 }

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <type_traits>
+#include <numeric>
 #include <unordered_map>
 
 #include "backend/simd_kernels.h"
+#include "backend/typed_ingest.h"
 
 namespace dio::backend {
 
@@ -45,10 +46,68 @@ Aggregation Aggregation::Percentiles(std::string field,
   return agg;
 }
 
+Aggregation Aggregation::TopHits(std::vector<SortSpec> sort,
+                                 std::vector<std::string> source) {
+  Aggregation agg(Kind::kTopHits);
+  agg.sort_ = std::move(sort);
+  agg.source_ = std::move(source);
+  return agg;
+}
+
 Aggregation& Aggregation::SubAgg(std::string name, Aggregation agg) {
   subs_.emplace_back(std::move(name), std::move(agg));
   return *this;
 }
+
+namespace {
+
+// The body of a top_hits aggregation. Errors name the key.
+Expected<Aggregation> ParseTopHits(const Json& body) {
+  if (!body.is_object()) {
+    return InvalidArgument("top_hits must be an object (got " + body.Dump() +
+                           ")");
+  }
+  const Json* size = body.Find("size");
+  if (size == nullptr || !size->is_int() || size->as_int() != 1) {
+    return InvalidArgument("top_hits \"size\" must be 1 (got " +
+                           (size == nullptr ? "none" : size->Dump()) + ")");
+  }
+  std::vector<SortSpec> sort;
+  std::vector<std::string> source;
+  for (const auto& [key, value] : body.as_object()) {
+    if (key == "size") continue;
+    if (key == "sort") {
+      if (!value.is_array()) {
+        return InvalidArgument("top_hits \"sort\" must be an array (got " +
+                               value.Dump() + ")");
+      }
+      for (const Json& spec : value.as_array()) {
+        auto parsed = ParseSortSpec(spec);
+        if (!parsed.ok()) {
+          return InvalidArgument("top_hits " + parsed.status().message());
+        }
+        sort.push_back(std::move(*parsed));
+      }
+    } else if (key == "_source") {
+      if (!value.is_array()) {
+        return InvalidArgument("top_hits \"_source\" must be an array of "
+                               "field names (got " + value.Dump() + ")");
+      }
+      for (const Json& field : value.as_array()) {
+        if (!field.is_string()) {
+          return InvalidArgument("top_hits \"_source\" entries must be "
+                                 "field names (got " + field.Dump() + ")");
+        }
+        source.push_back(field.as_string());
+      }
+    } else {
+      return InvalidArgument("unknown top_hits key: " + key);
+    }
+  }
+  return Aggregation::TopHits(std::move(sort), std::move(source));
+}
+
+}  // namespace
 
 Expected<Aggregation> Aggregation::FromJson(const Json& dsl) {
   if (!dsl.is_object() || dsl.as_object().empty()) {
@@ -65,6 +124,12 @@ Expected<Aggregation> Aggregation::FromJson(const Json& dsl) {
     }
     if (agg.has_value()) {
       return InvalidArgument("aggregation has more than one kind");
+    }
+    if (kind == "top_hits") {
+      auto top_hits = ParseTopHits(body);
+      if (!top_hits.ok()) return top_hits;
+      agg = std::move(*top_hits);
+      continue;
     }
     const std::string field = body.GetString("field");
     if (field.empty()) {
@@ -116,6 +181,9 @@ Expected<Aggregation> Aggregation::FromJson(const Json& dsl) {
     return InvalidArgument("aggregation object has no kind");
   }
   if (subs != nullptr) {
+    if (agg->kind() == Kind::kTopHits) {
+      return InvalidArgument("top_hits takes no sub-aggregations (\"aggs\")");
+    }
     if (!subs->is_object()) {
       return InvalidArgument("aggs must be an object of named aggregations");
     }
@@ -199,6 +267,7 @@ void AddStat(AggPartial& stats, double v) {
 struct SegmentInput {
   const ColumnSet* columns = nullptr;
   std::span<const Json> docs;
+  std::span<const std::uint8_t> typed;
   std::uint64_t doc_base = 0;
   std::uint64_t doc_stride = 1;
   std::size_t matched = 0;  // the largest dense table worth allocating
@@ -207,7 +276,23 @@ struct SegmentInput {
   [[nodiscard]] std::uint64_t DocId(std::size_t row) const {
     return doc_base + row * doc_stride;
   }
+  [[nodiscard]] bool IsTyped(std::size_t row) const {
+    return row < typed.size() && typed[row] != 0;
+  }
 };
+
+// A present cell's value: from the column, or for kOther from the row's
+// JSON document.
+Json CellValue(const DocValueColumn& col, std::size_t row,
+               std::span<const Json> docs, const std::string& field) {
+  switch (col.kind(row)) {
+    case ValueKind::kInt: return Json(col.ints[row]);
+    case ValueKind::kDouble: return Json(col.dbls[row]);
+    case ValueKind::kString: return Json(col.str(row));
+    case ValueKind::kBool: return Json(col.ints[row] != 0);
+    default: return *docs[row].Find(field);
+  }
+}
 
 class Collector {
  public:
@@ -419,13 +504,8 @@ class BucketCollector final : public Collector {
            static_cast<std::uint64_t>(agg_.interval());
   }
 
-  // A non-string, non-bool row's value (kOther from the JSON row).
   [[nodiscard]] Json Value(std::size_t row) const {
-    switch (col_->kind(row)) {
-      case ValueKind::kInt: return Json(col_->ints[row]);
-      case ValueKind::kDouble: return Json(col_->dbls[row]);
-      default: return *in_.docs[row].Find(agg_.field());
-    }
+    return CellValue(*col_, row, in_.docs, agg_.field());
   }
 
   // Terms ordinal of a non-missing, non-string row. Ints get one local
@@ -545,8 +625,95 @@ class MetricCollector final : public Collector {
   std::vector<Acc> acc_;
 };
 
+// top_hits (size 1), per owner: the best row by its sort keys, read off the
+// columns with JsonSortBefore's rules (missing last; numbers and strings
+// compare within their class; anything else ties). Rows arrive ascending,
+// so a later row replaces the best only when its keys sort strictly first,
+// and a tie keeps the lower docid. Build materializes only the winners.
+class TopHitsCollector final : public Collector {
+ public:
+  TopHitsCollector(const Aggregation& agg, const SegmentInput& in)
+      : agg_(agg), in_(in) {
+    for (const SortSpec& spec : agg.sort()) {
+      cols_.push_back(in.columns->Find(spec.field));
+    }
+  }
+
+  void Collect(std::span<const std::size_t> rows,
+               std::span<const std::size_t> owners) override {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (owners[i] >= best_.size()) best_.resize(owners[i] + 1, kNone);
+      std::size_t& best = best_[owners[i]];
+      if (best == kNone || Before(rows[i], best)) best = rows[i];
+    }
+  }
+
+  std::vector<AggPartial> Build(std::size_t owners) override {
+    std::vector<AggPartial> out(owners);
+    std::optional<WireDocBuilder> typed_rows;
+    for (std::size_t o = 0; o < std::min(owners, best_.size()); ++o) {
+      const std::size_t row = best_[o];
+      if (row == kNone) continue;
+      AggPartial::TopHit hit;
+      hit.doc = in_.DocId(row);
+      hit.sort = Json::MakeObject();
+      for (std::size_t j = 0; j < cols_.size(); ++j) {
+        if (cols_[j] == nullptr || cols_[j]->kind(row) == ValueKind::kMissing) {
+          continue;
+        }
+        const std::string& field = agg_.sort()[j].field;
+        hit.sort.Set(field, CellValue(*cols_[j], row, in_.docs, field));
+      }
+      if (in_.IsTyped(row)) {
+        if (!typed_rows.has_value()) {
+          typed_rows.emplace(*in_.columns, agg_.source());
+        }
+        hit.source = typed_rows->Build(row);
+      } else {
+        hit.source = ProjectFields(in_.docs[row], agg_.source());
+      }
+      out[o].top = std::move(hit);
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  // Whether row a's sort keys sort strictly before row b's.
+  [[nodiscard]] bool Before(std::size_t a, std::size_t b) const {
+    for (std::size_t j = 0; j < cols_.size(); ++j) {
+      const DocValueColumn* col = cols_[j];
+      if (col == nullptr) continue;  // missing from the whole segment
+      const ValueKind ka = col->kind(a);
+      const ValueKind kb = col->kind(b);
+      if (ka == ValueKind::kMissing && kb == ValueKind::kMissing) continue;
+      if (ka == ValueKind::kMissing) return false;
+      if (kb == ValueKind::kMissing) return true;
+      int cmp = 0;
+      if (col->is_number(a) && col->is_number(b)) {
+        const double da = col->dbls[a];
+        const double db = col->dbls[b];
+        cmp = da < db ? -1 : (da > db ? 1 : 0);
+      } else if (ka == ValueKind::kString && kb == ValueKind::kString) {
+        cmp = col->str(a).compare(col->str(b));
+      }
+      if (cmp != 0) return agg_.sort()[j].ascending ? cmp < 0 : cmp > 0;
+    }
+    return false;
+  }
+
+  const Aggregation& agg_;
+  const SegmentInput& in_;
+  std::vector<const DocValueColumn*> cols_;  // per sort spec
+  std::vector<std::size_t> best_;            // per owner
+};
+
 std::unique_ptr<Collector> MakeCollector(const Aggregation& agg,
                                          const SegmentInput& in) {
+  if (agg.kind() == Aggregation::Kind::kTopHits) {
+    return std::make_unique<TopHitsCollector>(agg, in);
+  }
   if (agg.kind() == Aggregation::Kind::kStats ||
       agg.kind() == Aggregation::Kind::kPercentiles) {
     return std::make_unique<MetricCollector>(agg, in);
@@ -556,54 +723,74 @@ std::unique_ptr<Collector> MakeCollector(const Aggregation& agg,
 
 }  // namespace
 
-AggResult Aggregation::Execute(const std::vector<const Json*>& docs) const {
-  return FinalizePartial(ExecutePartial(docs));
+AggResult Aggregation::Execute(const std::vector<const Json*>& docs,
+                               std::span<const std::uint64_t> docids) const {
+  return FinalizePartial(ExecutePartial(docs, docids));
 }
 
 AggPartial Aggregation::ExecutePartial(
-    const std::vector<const Json*>& docs) const {
+    const std::vector<const Json*>& docs,
+    std::span<const std::uint64_t> docids) const {
+  if (!docids.empty()) return Run(docs, docids);
+  std::vector<std::uint64_t> positions(docs.size());
+  std::iota(positions.begin(), positions.end(), std::uint64_t{0});
+  return Run(docs, positions);
+}
+
+AggPartial Aggregation::Run(std::span<const Json* const> docs,
+                            std::span<const std::uint64_t> docids) const {
+  // The documents (and their docids) of one bucket, in input order.
+  struct Group {
+    Json key;
+    std::vector<const Json*> docs;
+    std::vector<std::uint64_t> ids;
+
+    void Add(const Json* doc, std::uint64_t id) {
+      docs.push_back(doc);
+      ids.push_back(id);
+    }
+  };
+  const auto sub_partials = [this](const Group& group) {
+    std::vector<AggPartial> subs;
+    subs.reserve(subs_.size());
+    for (const auto& [sub_name, sub_agg] : subs_) {
+      subs.push_back(sub_agg.Run(group.docs, group.ids));
+    }
+    return subs;
+  };
   AggPartial partial;
   switch (kind_) {
     case Kind::kTerms: {
-      struct Group {
-        Json key;
-        std::vector<const Json*> docs;
-      };
       std::map<std::string, Group> groups;
-      for (const Json* doc : docs) {
-        const Json* value = doc->Find(field_);
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        const Json* value = docs[i]->Find(field_);
         if (value == nullptr) continue;
         Group& group = groups[GroupKey(*value)];
         if (group.docs.empty()) group.key = *value;
-        group.docs.push_back(doc);
+        group.Add(docs[i], docids[i]);
       }
       for (auto& [key, group] : groups) {
         AggPartial::Bucket bucket;
-        bucket.key = std::move(group.key);
         bucket.doc_count = static_cast<std::int64_t>(group.docs.size());
-        bucket.subs.reserve(subs_.size());
-        for (const auto& [sub_name, sub_agg] : subs_) {
-          bucket.subs.push_back(sub_agg.ExecutePartial(group.docs));
-        }
+        bucket.subs = sub_partials(group);
+        bucket.key = std::move(group.key);
         partial.terms.emplace(key, std::move(bucket));
       }
       break;
     }
     case Kind::kHistogram:
     case Kind::kDateHistogram: {
-      std::map<std::int64_t, std::vector<const Json*>> groups;
-      for (const Json* doc : docs) {
-        const Json* value = doc->Find(field_);
+      std::map<std::int64_t, Group> groups;
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        const Json* value = docs[i]->Find(field_);
         if (value == nullptr || !value->is_number()) continue;
-        groups[BucketStart(value->as_int(), interval_)].push_back(doc);
+        groups[BucketStart(value->as_int(), interval_)].Add(docs[i],
+                                                            docids[i]);
       }
-      for (auto& [start, group_docs] : groups) {
+      for (auto& [start, group] : groups) {
         AggPartial::Bucket bucket;
-        bucket.doc_count = static_cast<std::int64_t>(group_docs.size());
-        bucket.subs.reserve(subs_.size());
-        for (const auto& [sub_name, sub_agg] : subs_) {
-          bucket.subs.push_back(sub_agg.ExecutePartial(group_docs));
-        }
+        bucket.doc_count = static_cast<std::int64_t>(group.docs.size());
+        bucket.subs = sub_partials(group);
         partial.histo.emplace(start, std::move(bucket));
       }
       break;
@@ -627,19 +814,43 @@ AggPartial Aggregation::ExecutePartial(
       }
       break;
     }
+    case Kind::kTopHits: {
+      std::size_t best = docs.size();
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        if (best == docs.size() ||
+            JsonSortBefore(sort_, *docs[i], *docs[best]) ||
+            (!JsonSortBefore(sort_, *docs[best], *docs[i]) &&
+             docids[i] < docids[best])) {
+          best = i;
+        }
+      }
+      if (best == docs.size()) break;
+      AggPartial::TopHit hit;
+      hit.doc = docids[best];
+      hit.sort = Json::MakeObject();
+      for (const SortSpec& spec : sort_) {
+        if (const Json* value = docs[best]->Find(spec.field)) {
+          hit.sort.Set(spec.field, *value);
+        }
+      }
+      hit.source = ProjectFields(*docs[best], source_);
+      partial.top = std::move(hit);
+      break;
+    }
   }
   return partial;
 }
 
 AggPartial Aggregation::CollectSegment(const ColumnSet& columns,
                                        std::span<const Json> docs,
+                                       std::span<const std::uint8_t> typed,
                                        const FilterBitmap& matched,
                                        std::uint64_t doc_base,
                                        std::uint64_t doc_stride,
                                        bool docid_order) const {
   const std::size_t count = matched.CountSet();
   if (count == 0) return {};
-  const SegmentInput in{&columns, docs,  doc_base,
+  const SegmentInput in{&columns,   docs,  typed,      doc_base,
                         doc_stride, count, docid_order};
   const std::unique_ptr<Collector> root = MakeCollector(*this, in);
   constexpr std::size_t kBatch = 256;
@@ -672,7 +883,8 @@ bool Aggregation::NeedsDocidOrder(const AggPartial& partial) const {
     case Kind::kDateHistogram: return buckets_need(partial.histo);
     case Kind::kStats:
       return partial.count > 0 && partial.magnitude >= kExactLimit;
-    case Kind::kPercentiles: return false;
+    case Kind::kPercentiles:
+    case Kind::kTopHits: return false;
   }
   return false;
 }
@@ -764,44 +976,76 @@ void Aggregation::MergePartial(AggPartial& into, AggPartial&& from) const {
       }
       break;
     }
+    case Kind::kTopHits: {
+      if (!from.top.has_value()) break;
+      if (into.top.has_value()) {
+        const AggPartial::TopHit& a = *from.top;
+        const AggPartial::TopHit& b = *into.top;
+        const bool before =
+            JsonSortBefore(sort_, a.sort, b.sort) ||
+            (!JsonSortBefore(sort_, b.sort, a.sort) && a.doc < b.doc);
+        if (!before) break;
+      }
+      into.top = std::move(from.top);
+      break;
+    }
   }
+}
+
+bool Aggregation::MapDocIds(AggPartial& partial,
+                            std::span<const std::uint64_t> to) const {
+  if (partial.top.has_value()) {
+    if (partial.top->doc >= to.size()) return false;
+    partial.top->doc = to[partial.top->doc];
+  }
+  const auto map_buckets = [this, to](auto& buckets) {
+    for (auto& [key, bucket] : buckets) {
+      for (std::size_t i = 0; i < subs_.size(); ++i) {
+        if (!subs_[i].second.MapDocIds(bucket.subs[i], to)) return false;
+      }
+    }
+    return true;
+  };
+  return map_buckets(partial.terms) && map_buckets(partial.histo);
 }
 
 AggResult Aggregation::FinalizePartial(AggPartial&& partial) const {
   AggResult result;
-  const auto finalize = [this, &result](auto& buckets) {
-    result.buckets.reserve(buckets.size());
-    for (auto& [key, bucket] : buckets) {
-      AggBucket out;
-      if constexpr (std::is_same_v<std::decay_t<decltype(key)>,
-                                   std::int64_t>) {
-        out.key = Json(key);
-      } else {
-        out.key = std::move(bucket.key);
-      }
-      out.doc_count = bucket.doc_count;
-      for (std::size_t i = 0; i < subs_.size(); ++i) {
-        out.sub[subs_[i].first] =
-            subs_[i].second.FinalizePartial(std::move(bucket.subs[i]));
-      }
-      result.buckets.push_back(std::move(out));
+  const auto finalize = [this](Json key, AggPartial::Bucket& bucket) {
+    AggBucket out;
+    out.key = std::move(key);
+    out.doc_count = bucket.doc_count;
+    for (std::size_t i = 0; i < subs_.size(); ++i) {
+      out.sub[subs_[i].first] =
+          subs_[i].second.FinalizePartial(std::move(bucket.subs[i]));
     }
+    return out;
   };
   switch (kind_) {
     case Kind::kTerms: {
-      finalize(partial.terms);
-      std::stable_sort(result.buckets.begin(), result.buckets.end(),
-                       [](const AggBucket& a, const AggBucket& b) {
-                         return a.doc_count > b.doc_count;
+      // By count, descending; ties keep GroupKey order. Only the buckets
+      // `size` keeps are finalized.
+      std::vector<AggPartial::Bucket*> order;
+      order.reserve(partial.terms.size());
+      for (auto& [group_key, bucket] : partial.terms) order.push_back(&bucket);
+      std::stable_sort(order.begin(), order.end(),
+                       [](const AggPartial::Bucket* a,
+                          const AggPartial::Bucket* b) {
+                         return a->doc_count > b->doc_count;
                        });
-      if (size_ > 0 && result.buckets.size() > size_) {
-        result.buckets.resize(size_);
+      if (size_ > 0 && order.size() > size_) order.resize(size_);
+      result.buckets.reserve(order.size());
+      for (AggPartial::Bucket* bucket : order) {
+        result.buckets.push_back(finalize(std::move(bucket->key), *bucket));
       }
       break;
     }
     case Kind::kHistogram:
     case Kind::kDateHistogram:
-      finalize(partial.histo);
+      result.buckets.reserve(partial.histo.size());
+      for (auto& [start, bucket] : partial.histo) {
+        result.buckets.push_back(finalize(Json(start), bucket));
+      }
       break;
     case Kind::kStats: {
       result.metrics.Set("count", partial.count);
@@ -818,6 +1062,28 @@ AggResult Aggregation::FinalizePartial(AggPartial&& partial) const {
         out.Set(std::to_string(p), Percentile(partial.values, p));
       }
       result.metrics = std::move(out);
+      break;
+    }
+    case Kind::kTopHits: {
+      JsonArray hits;
+      if (partial.top.has_value()) {
+        AggPartial::TopHit& top = *partial.top;
+        JsonObject hit;
+        hit.reserve(3);
+        hit.emplace_back("_id", Json(top.doc));
+        hit.emplace_back("_source", std::move(top.source));
+        if (!sort_.empty()) {
+          JsonArray values;
+          values.reserve(sort_.size());
+          for (const SortSpec& spec : sort_) {
+            const Json* value = top.sort.Find(spec.field);
+            values.push_back(value == nullptr ? Json() : *value);
+          }
+          hit.emplace_back("sort", Json(std::move(values)));
+        }
+        hits.emplace_back(std::move(hit));
+      }
+      result.metrics.Set("hits", Json(std::move(hits)));
       break;
     }
   }

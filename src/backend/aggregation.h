@@ -1,7 +1,9 @@
 // Aggregations over query results: the Elasticsearch subset DIO's dashboards
-// use — terms (group by field), (date_)histogram (time bucketing),
-// stats / percentiles (latency summaries) — with arbitrary-depth
-// sub-aggregation (Fig. 4 is terms(comm) x date_histogram(time_enter)).
+// and analysis use — terms (group by field), (date_)histogram (time
+// bucketing), stats / percentiles (latency summaries), top_hits of size 1
+// (a bucket's first row, e.g. a file generation's first read) — with
+// arbitrary-depth sub-aggregation (Fig. 4 is terms(comm) x
+// date_histogram(time_enter)).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "backend/doc_values.h"
+#include "backend/query.h"
 #include "common/json.h"
 #include "common/status.h"
 
@@ -29,7 +32,10 @@ struct AggBucket {
 };
 
 struct AggResult {
-  // Bucketed aggs fill `buckets`; metric aggs fill `metrics`.
+  // Bucketed aggs fill `buckets`; metric aggs fill `metrics`. top_hits fills
+  // `metrics` in the ES response shape, {"hits": [{"_id": <docid>,
+  // "_source": {...}, "sort": [<value or null when missing>, ...]}]}, with
+  // no hit when nothing matched and no "sort" when unsorted.
   std::vector<AggBucket> buckets;
   Json metrics = Json::MakeObject();
 };
@@ -65,11 +71,28 @@ struct AggPartial {
   std::uint64_t magnitude = 0;
   std::vector<std::pair<std::uint64_t, double>> ordered;
   std::vector<double> values;  // kPercentiles, in no particular order
+  // kTopHits: the best row so far by (sort keys, docid). Merges keep the
+  // lesser, so a partial holds one row per bucket, never one per match.
+  struct TopHit {
+    // The row's docid: the store's, or on a cluster router the global seq
+    // (Aggregation::MapDocIds).
+    std::uint64_t doc = 0;
+    Json sort;    // the sort fields the row has, as an object
+    Json source;  // the row projected to Aggregation::source()
+  };
+  std::optional<TopHit> top;
 };
 
 class Aggregation {
  public:
-  enum class Kind { kTerms, kHistogram, kDateHistogram, kStats, kPercentiles };
+  enum class Kind {
+    kTerms,
+    kHistogram,
+    kDateHistogram,
+    kStats,
+    kPercentiles,
+    kTopHits,
+  };
 
   // Top `size` terms by doc count (0 = all, sorted by count desc).
   static Aggregation Terms(std::string field, std::size_t size = 0);
@@ -79,6 +102,13 @@ class Aggregation {
   static Aggregation Stats(std::string field);
   static Aggregation Percentiles(std::string field,
                                  std::vector<double> percents);
+  // ES top_hits with size 1: the matching row first by `sort` (empty = docid
+  // order) under JsonSortBefore's rules, docid breaking ties, projected to
+  // `source` (empty = the whole row). Over a sort field that mixes numbers
+  // and strings that order is not total, and the winner may depend on how
+  // the rows are split into segments and shards.
+  static Aggregation TopHits(std::vector<SortSpec> sort,
+                             std::vector<std::string> source);
 
   // Attaches a named sub-aggregation (bucketed aggs only).
   Aggregation& SubAgg(std::string name, Aggregation agg);
@@ -89,6 +119,10 @@ class Aggregation {
   [[nodiscard]] std::int64_t interval() const { return interval_; }
   [[nodiscard]] const std::vector<double>& percents() const {
     return percents_;
+  }
+  [[nodiscard]] const std::vector<SortSpec>& sort() const { return sort_; }
+  [[nodiscard]] const std::vector<std::string>& source() const {
+    return source_;
   }
   [[nodiscard]] const std::vector<std::pair<std::string, Aggregation>>& subs()
       const {
@@ -101,29 +135,40 @@ class Aggregation {
   //   {"date_histogram": {"field": "time_enter", "interval": 1000000}}
   //   {"stats": {"field": "duration_ns"}}
   //   {"percentiles": {"field": "duration_ns", "percents": [50, 99]}}
+  //   {"top_hits": {"size": 1, "sort": [{"time_enter": "asc"}],
+  //                 "_source": ["file_tag", "file_offset"]}}
+  // top_hits takes size 1 only (and no sub-aggregations), sort specs as in
+  // a search body, and `_source` as an array of field names.
   static Expected<Aggregation> FromJson(const Json& dsl);
   static Expected<Aggregation> FromJsonText(std::string_view text);
 
   // Executes against a set of documents (pointers remain owned by caller):
-  // FinalizePartial(ExecutePartial(docs)).
+  // FinalizePartial(ExecutePartial(docs, docids)).
   [[nodiscard]] AggResult Execute(
-      const std::vector<const Json*>& docs) const;
+      const std::vector<const Json*>& docs,
+      std::span<const std::uint64_t> docids = {}) const;
 
   // The JSON reference: groups with Json::Find per document and returns a
   // closed partial. Terms truncation (`size`) and bucket ordering are
-  // deferred to FinalizePartial so partials stay lossless.
+  // deferred to FinalizePartial so partials stay lossless. docids[i] is
+  // docs[i]'s docid, ascending, as top_hits reports and breaks ties by it;
+  // empty means docs[i] has docid i.
   [[nodiscard]] AggPartial ExecutePartial(
-      const std::vector<const Json*>& docs) const;
+      const std::vector<const Json*>& docs,
+      std::span<const std::uint64_t> docids = {}) const;
 
   // One segment's open partial, read straight off its columns in one pass
   // over the set bits of `matched`: terms count on dictionary ordinals,
   // histograms on dense bin ranges, sub-aggregations per owning bucket.
-  // `docs` are the segment's JSON rows (read only for kOther values); row r
-  // has docid doc_base + r * doc_stride. Without `docid_order`, stats sum
-  // integers exactly; with it, stats keep (docid, value) pairs so that
-  // ClosePartial can sum in docid order.
+  // `docs` are the segment's JSON rows (read only for kOther values and
+  // top_hits sources), and row r is a typed row, whose source the columns
+  // rebuild, when r < typed.size() and typed[r] != 0; row r has docid
+  // doc_base + r * doc_stride. Without `docid_order`, stats sum integers
+  // exactly; with it, stats keep (docid, value) pairs so that ClosePartial
+  // can sum in docid order.
   [[nodiscard]] AggPartial CollectSegment(const ColumnSet& columns,
                                           std::span<const Json> docs,
+                                          std::span<const std::uint8_t> typed,
                                           const FilterBitmap& matched,
                                           std::uint64_t doc_base,
                                           std::uint64_t doc_stride,
@@ -142,6 +187,12 @@ class Aggregation {
   // copies `from`.
   void MergePartial(AggPartial& into, AggPartial&& from) const;
 
+  // Replaces every top_hits docid d in `partial` with to[d]: a cluster
+  // router maps a logical shard's row numbers to global seqs before merging
+  // shards. Returns false when some d >= to.size().
+  [[nodiscard]] bool MapDocIds(AggPartial& partial,
+                               std::span<const std::uint64_t> to) const;
+
   // Bucket ordering (std::map over GroupKey, then a stable sort by count),
   // terms truncation, and metric math over the merged partial.
   [[nodiscard]] AggResult FinalizePartial(AggPartial&& partial) const;
@@ -151,12 +202,16 @@ class Aggregation {
 
   [[nodiscard]] bool NeedsDocidOrder(const AggPartial& partial) const;
   void Close(AggPartial& partial) const;
+  [[nodiscard]] AggPartial Run(std::span<const Json* const> docs,
+                               std::span<const std::uint64_t> docids) const;
 
   Kind kind_;
   std::string field_;
   std::size_t size_ = 0;
   std::int64_t interval_ = 1;
   std::vector<double> percents_;
+  std::vector<SortSpec> sort_;
+  std::vector<std::string> source_;
   std::vector<std::pair<std::string, Aggregation>> subs_;
 };
 

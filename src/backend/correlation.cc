@@ -19,23 +19,27 @@ Expected<CorrelationStats> FilePathCorrelator::Run(const std::string& index) {
   auto table = std::make_shared<FilePathUpdate::Table>();
   tag_to_path_ = table;
 
-  // Step 1: harvest tag -> path from open-type events.
-  SearchRequest open_request;
-  open_request.query = Query::And({
-      Query::Terms("syscall", {Json("open"), Json("openat"), Json("creat")}),
-      Query::Exists("file_tag"),
-      Query::Exists("path"),
-  });
-  open_request.size = std::numeric_limits<std::size_t>::max();
-  open_request.source = {"file_tag", "path"};
-  auto open_events = store_->Search(index, open_request);
-  if (!open_events.ok()) return open_events.status();
-  for (const Hit& hit : open_events->hits) {
-    std::string tag = hit.source.GetString("file_tag");
-    std::string path = hit.source.GetString("path");
-    if (!tag.empty() && !path.empty()) {
-      table->emplace(std::move(tag), std::move(path));
-    }
+  // Step 1: harvest tag -> path from open-type events: per tag, the first
+  // open (by docid) whose path is a non-empty string. A tag that is not a
+  // non-empty string names no bucket worth keeping.
+  const auto opens = store_->Aggregate(
+      index,
+      Query::And({
+          Query::Terms("syscall",
+                       {Json("open"), Json("openat"), Json("creat")}),
+          Query::Exists("file_tag"),
+          Query::Prefix("path", ""),
+          Query::Not(Query::Term("path", Json(""))),
+      }),
+      Aggregation::Terms("file_tag")
+          .SubAgg("first", Aggregation::TopHits({}, {"path"})));
+  if (!opens.ok()) return opens.status();
+  for (const AggBucket& bucket : opens->buckets) {
+    if (!bucket.key.is_string() || bucket.key.as_string().empty()) continue;
+    const Json& hit =
+        bucket.sub.at("first").metrics.Find("hits")->as_array().front();
+    table->emplace(bucket.key.as_string(),
+                   hit.Find("_source")->GetString("path"));
   }
   stats.tags_discovered = table->size();
 

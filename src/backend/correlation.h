@@ -6,9 +6,10 @@
 // features, like the paper's Elasticsearch implementation — translates each
 // event's file tag into the actual file path:
 //
-//   1. search events whose syscall is open/openat/creat, with a valid tag
-//      and a path argument -> build tag-key -> path dictionary (the hits
-//      carry only those two fields: SearchRequest::source);
+//   1. aggregate the events whose syscall is open/openat/creat, with a tag
+//      and a non-empty path, as terms(file_tag) > top_hits (docid order,
+//      source [path]) -> build the tag-key -> path dictionary from each
+//      tag's first open, with no search hits read;
 //   2. update-by-query every tagged event, setting "file_path" (the
 //      FilePathUpdate callback below).
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/string_util.h"
 
@@ -19,44 +20,69 @@ std::vector<Json> DataSyscallNames() {
 Expected<std::vector<Finding>> DetectStaleOffsets(
     QueryBackend* store, const std::string& index,
     const StaleOffsetOptions& options) {
-  // All reads with tags and offsets, in time order; track the first read of
-  // every file generation (tag).
-  SearchRequest request;
-  request.query = Query::And({
-      Query::Terms("syscall", {Json("read"), Json("pread64"), Json("readv")}),
-      Query::Exists("file_tag"),
-      Query::Exists("file_offset"),
-  });
-  request.sort = {{"time_enter", true}};
-  request.size = std::numeric_limits<std::size_t>::max();
-  request.source = {"file_tag", "file_offset", "file_path", "ret", "comm",
-                    "time_enter"};
-  auto reads = store->Search(index, request);
+  // The first read of every file generation (tag), by (time_enter, docid):
+  // one top_hits winner per terms(file_tag) bucket.
+  const std::vector<SortSpec> by_time = {{"time_enter", true}};
+  const auto reads = store->Aggregate(
+      index,
+      Query::And({
+          Query::Terms("syscall",
+                       {Json("read"), Json("pread64"), Json("readv")}),
+          Query::Exists("file_tag"),
+          Query::Exists("file_offset"),
+      }),
+      Aggregation::Terms("file_tag")
+          .SubAgg("first", Aggregation::TopHits(
+                               by_time, {"file_tag", "file_offset",
+                                         "file_path", "ret", "comm",
+                                         "time_enter"})));
   if (!reads.ok()) return reads.status();
 
+  // The winners in (time_enter, docid) order. A tag that is not a string
+  // reads as "", so such buckets fold into one generation: its first read
+  // is the first of their winners.
+  struct FirstRead {
+    std::uint64_t id;
+    const Json* source;
+  };
+  std::vector<FirstRead> firsts;
+  firsts.reserve(reads->buckets.size());
+  for (const AggBucket& bucket : reads->buckets) {
+    const Json& hit =
+        bucket.sub.at("first").metrics.Find("hits")->as_array().front();
+    firsts.push_back({static_cast<std::uint64_t>(hit.GetInt("_id")),
+                      hit.Find("_source")});
+  }
+  std::sort(firsts.begin(), firsts.end(),
+            [&by_time](const FirstRead& a, const FirstRead& b) {
+              if (JsonSortBefore(by_time, *a.source, *b.source)) return true;
+              if (JsonSortBefore(by_time, *b.source, *a.source)) return false;
+              return a.id < b.id;
+            });
+
   std::vector<Finding> findings;
-  std::map<std::string, bool> seen_tag;
-  for (const Hit& hit : reads->hits) {
-    const std::string tag = hit.source.GetString("file_tag");
-    if (seen_tag[tag]) continue;
-    seen_tag[tag] = true;
-    const std::int64_t offset = hit.source.GetInt("file_offset");
+  std::set<std::string> seen_tag;
+  for (const FirstRead& first : firsts) {
+    const Json& read = *first.source;
+    std::string tag = read.GetString("file_tag");
+    if (!seen_tag.insert(tag).second) continue;
+    const std::int64_t offset = read.GetInt("file_offset");
     if (offset < options.min_suspicious_offset) continue;
     Finding finding;
     finding.detector = "stale-offset";
-    finding.file_path = hit.source.GetString("file_path");
-    const std::int64_t ret = hit.source.GetInt("ret");
+    finding.file_path = read.GetString("file_path");
+    const std::int64_t ret = read.GetInt("ret");
     finding.severity = ret == 0 ? "critical" : "warning";
     finding.message =
         "first read of file generation starts at offset " +
         std::to_string(offset) + " (ret " + std::to_string(ret) +
         "); leading bytes were never consumed" +
         (ret == 0 ? " and the read returned 0 — data loss" : "");
-    finding.evidence.Set("file_tag", tag);
+    finding.evidence.Set("file_tag", std::move(tag));
     finding.evidence.Set("offset", offset);
     finding.evidence.Set("ret", ret);
-    finding.evidence.Set("comm", hit.source.GetString("comm"));
-    finding.evidence.Set("time_enter", hit.source.GetInt("time_enter"));
+    finding.evidence.Set("comm", read.GetString("comm"));
+    finding.evidence.Set("time_enter", read.GetInt("time_enter"));
     findings.push_back(std::move(finding));
   }
   return findings;
@@ -207,9 +233,22 @@ Expected<std::vector<Finding>> DetectRandomAccess(
     std::int64_t sequential = 0;
     std::int64_t random = 0;
   };
-  std::map<std::string, Pattern> per_file;
+  // Looked up by a view of the hit's path (a non-string reads as ""); a run
+  // of hits on one file reuses its entry.
+  std::map<std::string, Pattern, std::less<>> per_file;
+  std::map<std::string, Pattern, std::less<>>::iterator current;
   for (const Hit& hit : events->hits) {
-    Pattern& pattern = per_file[hit.source.GetString("file_path")];
+    const Json* value = hit.source.Find("file_path");
+    const std::string_view path = value != nullptr && value->is_string()
+                                      ? std::string_view(value->as_string())
+                                      : std::string_view();
+    if (per_file.empty() || current->first != path) {
+      current = per_file.find(path);
+      if (current == per_file.end()) {
+        current = per_file.emplace(std::string(path), Pattern{}).first;
+      }
+    }
+    Pattern& pattern = current->second;
     const std::int64_t offset = hit.source.GetInt("file_offset");
     const std::int64_t ret = hit.source.GetInt("ret");
     if (pattern.next_expected >= 0) {

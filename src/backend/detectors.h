@@ -5,7 +5,9 @@
 //
 // Each detector scans one tracing session and returns typed findings with
 // the evidence (event ids / values) a user would otherwise dig out of the
-// dashboards by hand:
+// dashboards by hand. Where a detector needs one row per group it asks the
+// store for an aggregation rather than for the rows, so it reads no search
+// hits and its memory grows with groups, not with matched rows:
 //
 //   * StaleOffsetDetector   — the §III-B data-loss pattern: a file is read
 //     from a non-zero offset right after being (re)created, so leading
@@ -45,7 +47,11 @@ struct StaleOffsetOptions {
 
 // Detects reads that start beyond offset 0 on the FIRST read of a file
 // generation (identified by its file tag): the reader skipped leading bytes
-// that were never consumed — the Fluent Bit bug signature.
+// that were never consumed — the Fluent Bit bug signature. Runs as one
+// aggregation over the reads, terms(file_tag) > top_hits(sort time_enter
+// asc): each generation's first read by (time_enter, docid), missing
+// time_enter last. Findings come out in (time_enter, docid) order; a
+// non-string tag reads as "", so such tags count as one generation.
 Expected<std::vector<Finding>> DetectStaleOffsets(
     QueryBackend* store, const std::string& index,
     const StaleOffsetOptions& options = {});
@@ -82,6 +88,8 @@ Expected<std::vector<Finding>> DetectSmallIo(
     QueryBackend* store, const std::string& index,
     const SmallIoOptions& options = {});
 
+// Folds each file's accesses in time order (a sorted search over the data
+// syscalls); a finding per file with mostly non-sequential offsets.
 struct RandomAccessOptions {
   // Flag files whose non-sequential access fraction exceeds this.
   double min_random_fraction = 0.5;

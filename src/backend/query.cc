@@ -1,5 +1,7 @@
 #include "backend/query.h"
 
+#include <algorithm>
+
 namespace dio::backend {
 
 Query Query::MatchAll() { return Query(Type::kMatchAll); }
@@ -232,6 +234,59 @@ Expected<Query> Query::FromJsonText(std::string_view text) {
   auto parsed = Json::Parse(text);
   if (!parsed.ok()) return parsed.status();
   return FromJson(*parsed);
+}
+
+Expected<SortSpec> ParseSortSpec(const Json& spec) {
+  if (spec.is_string()) return SortSpec{spec.as_string(), true};
+  if (!spec.is_object() || spec.as_object().size() != 1) {
+    return InvalidArgument(
+        "sort: each spec must be a field name or a one-field object");
+  }
+  const auto& [field, opts] = spec.as_object().front();
+  const Json* order = &opts;
+  if (opts.is_object()) {
+    order = opts.Find("order");
+    if (order == nullptr) return SortSpec{field, true};
+  }
+  if (!order->is_string() ||
+      (order->as_string() != "asc" && order->as_string() != "desc")) {
+    return InvalidArgument("sort: order of '" + field +
+                           "' must be \"asc\" or \"desc\"");
+  }
+  return SortSpec{field, order->as_string() == "asc"};
+}
+
+Json ProjectFields(const Json& doc, std::span<const std::string> fields) {
+  if (fields.empty() || !doc.is_object()) return doc;
+  JsonObject members;
+  for (const JsonMember& member : doc.as_object()) {
+    if (std::find(fields.begin(), fields.end(), member.first) !=
+        fields.end()) {
+      members.push_back(member);
+    }
+  }
+  return Json(std::move(members));
+}
+
+bool JsonSortBefore(std::span<const SortSpec> specs, const Json& a,
+                    const Json& b) {
+  for (const SortSpec& spec : specs) {
+    const Json* va = a.Find(spec.field);
+    const Json* vb = b.Find(spec.field);
+    if (va == nullptr && vb == nullptr) continue;
+    if (va == nullptr) return false;  // missing sorts last
+    if (vb == nullptr) return true;
+    int cmp = 0;
+    if (va->is_number() && vb->is_number()) {
+      const double da = va->as_double();
+      const double db = vb->as_double();
+      cmp = da < db ? -1 : (da > db ? 1 : 0);
+    } else if (va->is_string() && vb->is_string()) {
+      cmp = va->as_string().compare(vb->as_string());
+    }
+    if (cmp != 0) return spec.ascending ? cmp < 0 : cmp > 0;
+  }
+  return false;
 }
 
 }  // namespace dio::backend

@@ -1,14 +1,18 @@
 // Query AST for the document store — the subset of the Elasticsearch DSL
 // that DIO's analysis pipeline relies on: term / terms / range / prefix /
-// exists / match_all composed with bool (must / must_not / should).
+// exists / match_all composed with bool (must / must_not / should) — plus
+// the JSON semantics of hit order and source projection that searches and
+// top_hits aggregations share.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "common/status.h"
 
 namespace dio::backend {
 
@@ -75,5 +79,28 @@ class Query {
   std::string prefix_;
   std::vector<Query> clauses_;
 };
+
+struct SortSpec {
+  std::string field;
+  bool ascending = true;
+};
+
+// One sort spec of the DSL: "field", {"field": "asc"|"desc"} (ES shorthand)
+// or {"field": {"order": "asc"|"desc"}}; the order defaults to ascending.
+// Errors name the field.
+Expected<SortSpec> ParseSortSpec(const Json& spec);
+
+// The `fields` projection of one document (SearchRequest::source): only the
+// listed top-level members the document has, in document member order. An
+// empty list, or a document that is not an object, returns it unchanged.
+Json ProjectFields(const Json& doc, std::span<const std::string> fields);
+
+// The sort order every backend honors, over whole JSON documents: per spec,
+// a document missing the field sorts last in either direction; two numbers
+// or two strings compare by value; any other pair ties and falls through to
+// the next spec. Returns false on a full tie — callers break ties by docid
+// (or, equivalently, stable-sort input that ascends by docid).
+bool JsonSortBefore(std::span<const SortSpec> specs, const Json& a,
+                    const Json& b);
 
 }  // namespace dio::backend

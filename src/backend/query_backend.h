@@ -7,7 +7,8 @@
 // deployment shape without forking the analysis code.
 //
 // The request/response vocabulary (SearchRequest, SearchResult, Hit,
-// IndexStats) lives here because it is the contract between backends and
+// IndexStats) lives here (SortSpec, JsonSortBefore and ProjectFields, which
+// aggregations share, live in backend/query.h) because it is the contract between backends and
 // their consumers; ElasticStore adds the ingest/refresh/snapshot surface on
 // top in store.h.
 #pragma once
@@ -31,11 +32,6 @@ using DocId = std::uint64_t;
 struct Hit {
   DocId id = 0;
   Json source;
-};
-
-struct SortSpec {
-  std::string field;
-  bool ascending = true;
 };
 
 struct SearchRequest {
@@ -63,19 +59,6 @@ struct SearchRequest {
   static Expected<SearchRequest> FromJsonText(
       std::string_view text, std::size_t max_result_window = 10'000);
 };
-
-// The `fields` projection of one document (SearchRequest::source): only the
-// listed top-level members the document has, in document member order. An
-// empty list, or a document that is not an object, returns it unchanged.
-Json ProjectFields(const Json& doc, std::span<const std::string> fields);
-
-// The sort order every backend honors, over whole JSON documents: per spec,
-// a document missing the field sorts last in either direction; two numbers
-// or two strings compare by value; any other pair ties and falls through to
-// the next spec. Returns false on a full tie — callers break ties by docid
-// (or, equivalently, stable-sort input that ascends by docid).
-bool JsonSortBefore(std::span<const SortSpec> specs, const Json& a,
-                    const Json& b);
 
 struct SearchResult {
   std::vector<Hit> hits;

@@ -24,6 +24,13 @@ std::span<const Json> SegmentDocs(const std::vector<Json>& docs,
   return {docs.data() + segment.base, segment.rows()};
 }
 
+// The segment's slice of a sub-shard's typed-row flags (one per row, like
+// the row store).
+std::span<const std::uint8_t> SegmentTyped(
+    const std::vector<std::uint8_t>& typed, const ColumnSegment& segment) {
+  return {typed.data() + segment.base, segment.rows()};
+}
+
 // A copy of `rows` with room for `more` appends, when appending them in
 // place would reallocate; nullopt when there is room already.
 template <typename T>
@@ -633,6 +640,7 @@ Expected<AggPartial> ElasticStore::AggregatePartial(
             per_shard[s],
             agg.CollectSegment(
                 segment->columns, SegmentDocs(shard.docs, *segment),
+                SegmentTyped(shard.typed, *segment),
                 SegmentMatches(shard.docs, *segment, query),
                 segment->base * shard.stride + shard.shard_index,
                 shard.stride, docid_order));

@@ -1135,9 +1135,14 @@ Expected<backend::AggResult> ClusterRouter::AggregateGatherAll(
   auto merged = GatherMatches(ix, index, query);
   if (!merged.ok()) return merged.status();
   std::vector<const Json*> docs;
+  std::vector<std::uint64_t> gseqs;
   docs.reserve(merged->size());
-  for (const auto& [gseq, doc] : *merged) docs.push_back(&doc);
-  return agg.Execute(docs);
+  gseqs.reserve(merged->size());
+  for (const auto& [gseq, doc] : *merged) {
+    docs.push_back(&doc);
+    gseqs.push_back(gseq);
+  }
+  return agg.Execute(docs, gseqs);
 }
 
 Expected<backend::AggResult> ClusterRouter::AggregatePushdown(
@@ -1146,6 +1151,7 @@ Expected<backend::AggResult> ClusterRouter::AggregatePushdown(
   struct Task {
     std::size_t shard = 0;
     const backend::ElasticStore* store = nullptr;
+    const std::vector<std::uint64_t>* gseqs = nullptr;
     Status status = Status::Ok();
     bool has_partial = false;
     backend::AggPartial partial;
@@ -1162,12 +1168,15 @@ Expected<backend::AggResult> ClusterRouter::AggregatePushdown(
     Task task;
     task.shard = shard;
     task.store = &reader->store();
+    task.gseqs = &ix.shards[shard].global_seqs;
     tasks.push_back(std::move(task));
   }
   // Grouping, extraction, and per-shard value sorts all run inside the
   // shard task (columnar, no per-document Json materialization); the gather
   // half only folds the partials, in shard order. Exact for integer-valued
   // fields; see AggPartial for the float `sum` reassociation caveat.
+  // top_hits winners carry the shard's row numbers, mapped to global seqs
+  // here so the merge breaks ties as a single store breaks them by docid.
   RunScatter(tasks.size(), [&](std::size_t i) {
     Task& t = tasks[i];
     auto partial =
@@ -1176,6 +1185,11 @@ Expected<backend::AggResult> ClusterRouter::AggregatePushdown(
       if (partial.status().code() != ErrorCode::kNotFound) {
         t.status = partial.status();
       }
+      return;
+    }
+    if (!agg.MapDocIds(*partial, *t.gseqs)) {
+      t.status = Internal("cluster: shard " + std::to_string(t.shard) +
+                          " top_hits row beyond the global-seq map");
       return;
     }
     t.partial = std::move(*partial);

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -57,24 +58,25 @@ Expected<TracerOptions> TracerOptions::FromConfig(const Config& config) {
   options.pids = ParseIntList<os::Pid>(config.GetList("tracer.pids"));
   options.tids = ParseIntList<os::Tid>(config.GetList("tracer.tids"));
   options.paths = config.GetList("tracer.paths");
-  options.ring_bytes_per_cpu = static_cast<std::size_t>(config.GetInt(
-      "tracer.ring_bytes_per_cpu",
-      static_cast<std::int64_t>(options.ring_bytes_per_cpu)));
-  options.pending_map_entries = static_cast<std::size_t>(config.GetInt(
-      "tracer.pending_map_entries",
-      static_cast<std::int64_t>(options.pending_map_entries)));
-  options.first_access_map_entries = static_cast<std::size_t>(config.GetInt(
-      "tracer.first_access_map_entries",
-      static_cast<std::int64_t>(options.first_access_map_entries)));
-  options.batch_size = static_cast<std::size_t>(config.GetInt(
-      "tracer.batch_size", static_cast<std::int64_t>(options.batch_size)));
+  // Counts: a non-integer value, or one below the key's minimum, is an
+  // error naming the key.
+  for (auto [key, field, min] :
+       {std::tuple{"tracer.ring_bytes_per_cpu", &options.ring_bytes_per_cpu, 1},
+        std::tuple{"tracer.pending_map_entries", &options.pending_map_entries,
+                   1},
+        std::tuple{"tracer.first_access_map_entries",
+                   &options.first_access_map_entries, 1},
+        std::tuple{"tracer.batch_size", &options.batch_size, 1},
+        std::tuple{"tracer.consumer_threads", &options.consumer_threads, 0},
+        std::tuple{"tracer.path_cap", &options.path_cap, 0}}) {
+    auto value = GetCount(config, key, *field, min);
+    if (!value.ok()) return value.status();
+    *field = *value;
+  }
   options.flush_interval_ns =
       config.GetInt("tracer.flush_interval_ns", options.flush_interval_ns);
   options.poll_interval_ns =
       config.GetInt("tracer.poll_interval_ns", options.poll_interval_ns);
-  options.consumer_threads = static_cast<std::size_t>(
-      config.GetInt("tracer.consumer_threads",
-                    static_cast<std::int64_t>(options.consumer_threads)));
   options.enrich = config.GetBool("tracer.enrich", options.enrich);
   options.aggregate_in_kernel = config.GetBool(
       "tracer.aggregate_in_kernel", options.aggregate_in_kernel);
@@ -84,10 +86,7 @@ Expected<TracerOptions> TracerOptions::FromConfig(const Config& config) {
       config.GetInt("tracer.hook_cost_ns", options.hook_cost_ns);
   // The wire record's path buffers are fixed at kWirePathCap; the knob can
   // only tighten the capture, not widen it.
-  options.path_cap = std::min<std::size_t>(
-      static_cast<std::size_t>(config.GetInt(
-          "tracer.path_cap", static_cast<std::int64_t>(options.path_cap))),
-      kWirePathCap);
+  options.path_cap = std::min<std::size_t>(options.path_cap, kWirePathCap);
   return options;
 }
 

@@ -100,6 +100,10 @@ struct TracerOptions {
   // stats either way.
   std::size_t path_cap = kWirePathCap;
 
+  // Reads the `[tracer]` section. Rejects, naming the key, a count that is
+  // not an integer or is below its minimum: 1 for ring_bytes_per_cpu,
+  // pending_map_entries, first_access_map_entries and batch_size, 0 for
+  // consumer_threads and path_cap.
   static Expected<TracerOptions> FromConfig(const Config& config);
 };
 

@@ -16,10 +16,15 @@ Expected<PipelineOptions> PipelineOptions::FromConfig(const Config& config) {
        "network_latency_ns", "refresh_interval_ms", "auto_correlate"});
 
   PipelineOptions options;
-  options.queue.max_queued_batches = static_cast<std::size_t>(
-      config.GetInt("transport.queue_depth",
-                    static_cast<std::int64_t>(
-                        options.queue.max_queued_batches)));
+  // Counts: a value below 1 or a non-integer one is an error naming the key.
+  for (auto [key, field] :
+       {std::pair{"transport.queue_depth", &options.queue.max_queued_batches},
+        std::pair{"transport.retry_max_attempts",
+                  &options.retry.max_attempts}}) {
+    auto value = GetCount(config, key, *field, 1);
+    if (!value.ok()) return value.status();
+    *field = *value;
+  }
   if (config.Has("transport.backpressure")) {
     auto policy =
         BackpressureFromString(config.GetString("transport.backpressure"));
@@ -28,9 +33,6 @@ Expected<PipelineOptions> PipelineOptions::FromConfig(const Config& config) {
   }
   options.retry_enabled =
       config.GetBool("transport.retry", options.retry_enabled);
-  options.retry.max_attempts = static_cast<std::size_t>(
-      config.GetInt("transport.retry_max_attempts",
-                    static_cast<std::int64_t>(options.retry.max_attempts)));
   options.retry.initial_backoff_ns = config.GetInt(
       "transport.retry_initial_backoff_ns", options.retry.initial_backoff_ns);
   options.retry.backoff_multiplier = config.GetDouble(

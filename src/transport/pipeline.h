@@ -58,6 +58,8 @@ struct PipelineOptions {
   // Parses [transport] keys and warns (via logging) on unrecognized ones.
   // Keys consumed by the bulk sink (network_latency_ns, ...) are part of
   // the recognized set but interpreted by backend::BulkClientOptions.
+  // Rejects, naming the key, a queue_depth or retry_max_attempts that is
+  // not an integer or is below 1.
   static Expected<PipelineOptions> FromConfig(const Config& config);
 };
 

@@ -343,5 +343,157 @@ TEST(AggregationPartialTest, EmptyPartialMatchesEmptyExecute) {
   }
 }
 
+// ---- top_hits ------------------------------------------------------------------
+
+// top_hits takes size 1 only, `_source` as an array of field names, sort
+// orders asc/desc and no sub-aggregations; every error names the key.
+TEST(AggregationDslTest, RejectsHostileTopHits) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"top_hits": {"size": 3}})", "size"},
+      {R"({"top_hits": {"size": 0}})", "size"},
+      {R"({"top_hits": {"size": "1"}})", "size"},
+      {R"({"top_hits": {"size": 1.0}})", "size"},
+      {R"({"top_hits": {}})", "size"},
+      {R"({"top_hits": {"size": 1, "_source": "path"}})", "_source"},
+      {R"({"top_hits": {"size": 1, "_source": {"includes": ["a"]}}})",
+       "_source"},
+      {R"({"top_hits": {"size": 1, "_source": ["path", 7]}})", "_source"},
+      {R"({"top_hits": {"size": 1, "sort": [{"ts": "up"}]}})", "sort"},
+      {R"({"top_hits": {"size": 1, "sort": [{"ts": {"order": 1}}]}})", "ts"},
+      {R"({"top_hits": {"size": 1, "sort": "ts"}})", "sort"},
+      {R"({"top_hits": {"size": 1, "from": 2}})", "from"},
+      {R"({"top_hits": {"size": 1}, "aggs": {"x": {"stats": {"field": "y"}}}})",
+       "aggs"},
+      {R"({"terms": {"field": "comm"}, "aggs": {"t": {"top_hits": {"size": 2}}}})",
+       "size"},
+      {R"({"top_hits": [1]})", "top_hits"},
+  };
+  for (const auto& [text, key] : cases) {
+    auto agg = Aggregation::FromJsonText(text);
+    ASSERT_FALSE(agg.ok()) << text;
+    EXPECT_NE(agg.status().message().find(key), std::string::npos)
+        << text << " -> " << agg.status().message();
+  }
+}
+
+// Every accepted top_hits form parses to the aggregation the code API
+// builds and runs to the same result.
+TEST(AggregationDslTest, TopHitsRoundTrips) {
+  struct Case {
+    const char* text;
+    Aggregation built;
+  };
+  const Case cases[] = {
+      {R"({"top_hits": {"size": 1}})", Aggregation::TopHits({}, {})},
+      {R"({"top_hits": {"size": 1, "sort": ["ts"], "_source": []}})",
+       Aggregation::TopHits({{"ts", true}}, {})},
+      {R"({"top_hits": {"_source": ["comm", "lat"], "size": 1,
+                        "sort": [{"lat": "desc"}, {"ts": {"order": "asc"}},
+                                 {"comm": {}}]}})",
+       Aggregation::TopHits({{"lat", false}, {"ts", true}, {"comm", true}},
+                            {"comm", "lat"})},
+  };
+  const auto docs = MakeDocs();
+  for (const Case& c : cases) {
+    auto agg = Aggregation::FromJsonText(c.text);
+    ASSERT_TRUE(agg.ok()) << c.text << " -> " << agg.status().message();
+    EXPECT_EQ(agg->kind(), Aggregation::Kind::kTopHits);
+    ASSERT_EQ(agg->sort().size(), c.built.sort().size()) << c.text;
+    for (std::size_t i = 0; i < agg->sort().size(); ++i) {
+      EXPECT_EQ(agg->sort()[i].field, c.built.sort()[i].field) << c.text;
+      EXPECT_EQ(agg->sort()[i].ascending, c.built.sort()[i].ascending)
+          << c.text;
+    }
+    EXPECT_EQ(agg->source(), c.built.source()) << c.text;
+    EXPECT_EQ(DumpAgg(agg->Execute(Ptrs(docs))),
+              DumpAgg(c.built.Execute(Ptrs(docs))))
+        << c.text;
+  }
+  auto nested = Aggregation::FromJsonText(R"({
+    "terms": {"field": "comm"},
+    "aggs": {"first": {"top_hits": {"size": 1, "sort": [{"ts": "desc"}]}}}
+  })");
+  ASSERT_TRUE(nested.ok());
+  const Aggregation built = Aggregation::Terms("comm").SubAgg(
+      "first", Aggregation::TopHits({{"ts", false}}, {}));
+  EXPECT_EQ(DumpAgg(nested->Execute(Ptrs(docs))),
+            DumpAgg(built.Execute(Ptrs(docs))));
+}
+
+// The winner is the first row by the sort keys, missing values last, ties
+// broken by docid; the result carries its docid, sort values and source.
+TEST(AggregationTest, TopHitsPicksFirstRowBySortThenDocid) {
+  std::vector<Json> docs = MakeDocs();  // a: ts 0,10,20; b: ts 0,0
+  Json no_ts = Json::MakeObject();
+  no_ts.Set("comm", "c");
+  docs.push_back(std::move(no_ts));
+  const auto agg = Aggregation::Terms("comm").SubAgg(
+      "first", Aggregation::TopHits({{"ts", true}}, {"comm", "ts"}));
+  const std::vector<std::uint64_t> ids = {10, 11, 12, 13, 14, 15};
+  const AggResult result = agg.Execute(Ptrs(docs), ids);
+  ASSERT_EQ(result.buckets.size(), 3u);
+  const auto hit = [&result](std::size_t bucket) {
+    return result.buckets[bucket].sub.at("first").metrics.Find("hits")->Dump();
+  };
+  EXPECT_EQ(hit(0), R"([{"_id":10,"_source":{"comm":"a","ts":0},"sort":[0]}])");
+  EXPECT_EQ(hit(1), R"([{"_id":13,"_source":{"comm":"b","ts":0},"sort":[0]}])");
+  EXPECT_EQ(hit(2), R"([{"_id":15,"_source":{"comm":"c"},"sort":[null]}])");
+
+  // Descending; the row without ts still sorts last. Unsorted = docid order,
+  // with the whole row as source and no "sort" member.
+  const AggResult latest =
+      Aggregation::TopHits({{"ts", false}}, {"ts"}).Execute(Ptrs(docs));
+  EXPECT_EQ(latest.metrics.Dump(),
+            R"({"hits":[{"_id":2,"_source":{"ts":20},"sort":[20]}]})");
+  const AggResult first = Aggregation::TopHits({}, {}).Execute(Ptrs(docs));
+  EXPECT_EQ(first.metrics.Dump(),
+            R"({"hits":[{"_id":0,"_source":{"comm":"a","ts":0,"lat":100}}]})");
+  EXPECT_EQ(Aggregation::TopHits({}, {}).Execute({}).metrics.Dump(),
+            R"({"hits":[]})");
+}
+
+// Partials over any split, each given its rows' docids, merge to the
+// winner over the whole set; MapDocIds renumbers a partial's winners.
+TEST(AggregationPartialTest, TopHitsSplitMergeMatchesExecute) {
+  const std::vector<Json> docs = PartialCorpus();
+  const std::vector<const Json*> all = Ptrs(docs);
+  std::vector<std::uint64_t> ids(all.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = 3 * i;
+  std::vector<Aggregation> aggs;
+  aggs.push_back(Aggregation::Terms("comm").SubAgg(
+      "low", Aggregation::TopHits({{"lat", true}}, {"lat", "ts"})));
+  aggs.push_back(Aggregation::Histogram("ts", 100).SubAgg(
+      "flagged", Aggregation::TopHits({{"flag", true}, {"lat", false}}, {})));
+  aggs.push_back(Aggregation::TopHits({{"comm", false}}, {"comm"}));
+  for (const Aggregation& agg : aggs) {
+    const std::string expected = DumpAgg(agg.Execute(all, ids));
+    for (const std::size_t chunk : {64u, 17u, 1u}) {
+      AggPartial merged;
+      // Merge the chunks last to first: the lesser (keys, docid) wins in
+      // any merge order.
+      for (std::size_t lo = (all.size() - 1) / chunk * chunk;; lo -= chunk) {
+        const std::size_t hi = std::min(lo + chunk, all.size());
+        const std::vector<const Json*> slice(all.begin() + lo,
+                                             all.begin() + hi);
+        agg.MergePartial(merged,
+                         agg.ExecutePartial(
+                             slice, std::span(ids).subspan(lo, hi - lo)));
+        if (lo == 0) break;
+      }
+      EXPECT_EQ(DumpAgg(agg.FinalizePartial(std::move(merged))), expected)
+          << "chunk=" << chunk;
+    }
+  }
+  // Positions 0..n-1, mapped through `ids`, report the same docids.
+  for (const Aggregation& agg : aggs) {
+    AggPartial partial = agg.ExecutePartial(all);
+    ASSERT_TRUE(agg.MapDocIds(partial, ids));
+    EXPECT_EQ(DumpAgg(agg.FinalizePartial(std::move(partial))),
+              DumpAgg(agg.Execute(all, ids)));
+    AggPartial short_map = agg.ExecutePartial(all);
+    EXPECT_FALSE(agg.MapDocIds(short_map, std::span(ids).first(1)));
+  }
+}
+
 }  // namespace
 }  // namespace dio::backend

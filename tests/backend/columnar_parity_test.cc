@@ -209,6 +209,21 @@ std::vector<Aggregation> ParityAggs() {
       "by_syscall",
       Aggregation::Terms("syscall").SubAgg(
           "top_path", Aggregation::Terms("file_path", 1))));
+  // top_hits: first by (comm, time_enter desc) with missing comms last; by
+  // int-or-double durations; in docid order; and over keys that only tie
+  // (null members, bools), where docid decides. Sources mix kOther members
+  // and whole rows.
+  out.push_back(Aggregation::Terms("syscall").SubAgg(
+      "first", Aggregation::TopHits({{"comm", true}, {"time_enter", false}},
+                                    {"comm", "time_enter", "extra"})));
+  out.push_back(Aggregation::Terms("comm").SubAgg(
+      "slowest", Aggregation::TopHits({{"duration_ns", false}}, {})));
+  out.push_back(Aggregation::DateHistogram("time_enter", 500)
+                    .SubAgg("first", Aggregation::TopHits(
+                                         {}, {"fds", "cached", "ratio"})));
+  out.push_back(Aggregation::TopHits({{"extra", true}, {"cached", false}},
+                                     {"syscall", "extra"}));
+  out.push_back(Aggregation::TopHits({{"file_path", false}}, {}));
   return out;
 }
 

@@ -112,6 +112,12 @@ std::vector<std::vector<Json>> EdgeBatches() {
     batches[2].push_back(Read(Json("tie|x" + std::to_string(i)), 6000,
                               20 + i, 1, 901 + i * 17));
   }
+  // Ties whose docid order is the reverse of their tags' order, so only the
+  // docid tiebreak puts "tie|z3" first.
+  for (int i = 3; i >= 0; --i) {
+    batches[2].push_back(
+        Read(Json("tie|z" + std::to_string(i)), 7000, 30 + i, 1, 960));
+  }
   batches[2].push_back(Open(Json("tie|a"), "/edge/tie-a.log", 100));
   batches[2].push_back(Open(Json("tie|x1"), "/edge/tie-x1.log", 100));
   return batches;
@@ -208,6 +214,15 @@ TEST(DetectorParityReferenceTest, CorpusExercisesEveryCase) {
   ASSERT_NE(notime, std::string::npos) << want;
   EXPECT_LT(tie_b, tie_a);
   EXPECT_LT(tie_a, notime);
+  std::size_t previous = 0;
+  for (int i = 3; i >= 0; --i) {
+    const std::size_t at =
+        want.find("\"file_tag\":\"tie|z" + std::to_string(i) + "\"");
+    ASSERT_NE(at, std::string::npos) << want;
+    EXPECT_LT(previous, at) << "tie|z" << i;
+    previous = at;
+  }
+  EXPECT_LT(previous, notime);
   EXPECT_NE(want.find("\"file_tag\":\"notime|2\",\"offset\":7"),
             std::string::npos)
       << want;

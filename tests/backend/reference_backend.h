@@ -4,7 +4,8 @@
 // Documents are stored as JSON in docid (ingestion) order and every request
 // walks all of them: Query::Matches filters, JsonSortBefore plus a docid
 // tiebreak sorts, ProjectFields projects, Aggregation::Execute /
-// ExecutePartial aggregate, and UpdateByQuery calls the update on each
+// ExecutePartial aggregate (given the matches' docids, which top_hits
+// reports), and UpdateByQuery calls the update on each
 // matching document. BulkWire materializes records with WireEventToJson,
 // exactly as the store's JSON ingest route does. Nothing is indexed or
 // cached, so a result that differs from ElasticStore's is the engine's
@@ -86,17 +87,19 @@ class ReferenceBackend final : public QueryBackend {
   [[nodiscard]] Expected<AggResult> Aggregate(
       const std::string& index, const Query& query,
       const Aggregation& agg) const override {
-    auto docs = MatchingDocs(index, query);
-    if (!docs.ok()) return docs.status();
-    return agg.Execute(*docs);
+    const Index* ix = Find(index);
+    if (ix == nullptr) return NotFound("no such index: " + index);
+    const std::vector<DocId> ids = Matching(*ix, query);
+    return agg.Execute(Docs(*ix, ids), ids);
   }
 
   [[nodiscard]] Expected<AggPartial> AggregatePartial(
       const std::string& index, const Query& query,
       const Aggregation& agg) const {
-    auto docs = MatchingDocs(index, query);
-    if (!docs.ok()) return docs.status();
-    return agg.ExecutePartial(*docs);
+    const Index* ix = Find(index);
+    if (ix == nullptr) return NotFound("no such index: " + index);
+    const std::vector<DocId> ids = Matching(*ix, query);
+    return agg.ExecutePartial(Docs(*ix, ids), ids);
   }
 
   Expected<std::size_t> UpdateByQuery(
@@ -146,12 +149,11 @@ class ReferenceBackend final : public QueryBackend {
     return out;
   }
 
-  [[nodiscard]] Expected<std::vector<const Json*>> MatchingDocs(
-      const std::string& index, const Query& query) const {
-    const Index* ix = Find(index);
-    if (ix == nullptr) return NotFound("no such index: " + index);
+  static std::vector<const Json*> Docs(const Index& ix,
+                                       const std::vector<DocId>& ids) {
     std::vector<const Json*> docs;
-    for (const DocId id : Matching(*ix, query)) docs.push_back(&ix->docs[id]);
+    docs.reserve(ids.size());
+    for (const DocId id : ids) docs.push_back(&ix.docs[id]);
     return docs;
   }
 

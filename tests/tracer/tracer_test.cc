@@ -296,6 +296,44 @@ path_cap = 99999
   EXPECT_EQ(options->path_cap, kWirePathCap);
 }
 
+// Counts go through GetCount: a negative or non-integer value is rejected
+// with an error naming the key, instead of falling back silently or turning
+// into ~2^64. Checked at FromConfig only — never build a tracer from them.
+TEST_F(TracerTest, OptionsFromConfigRejectsBadCounts) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"ring_bytes_per_cpu = -1", "tracer.ring_bytes_per_cpu"},
+      {"ring_bytes_per_cpu = 0", "tracer.ring_bytes_per_cpu"},
+      {"ring_bytes_per_cpu = 64k", "tracer.ring_bytes_per_cpu"},
+      {"pending_map_entries = -5", "tracer.pending_map_entries"},
+      {"first_access_map_entries = 0", "tracer.first_access_map_entries"},
+      {"first_access_map_entries = lots", "tracer.first_access_map_entries"},
+      {"batch_size = 0", "tracer.batch_size"},
+      {"batch_size = 1.5", "tracer.batch_size"},
+      {"consumer_threads = -1", "tracer.consumer_threads"},
+      {"consumer_threads = two", "tracer.consumer_threads"},
+      {"path_cap = -8", "tracer.path_cap"},
+  };
+  for (const auto& [line, key] : cases) {
+    auto config = Config::ParseString(std::string("[tracer]\n") + line + "\n");
+    ASSERT_TRUE(config.ok()) << line;
+    auto options = TracerOptions::FromConfig(*config);
+    ASSERT_FALSE(options.ok()) << line;
+    EXPECT_NE(options.status().message().find(key), std::string::npos)
+        << line << " -> " << options.status().message();
+  }
+  // The minimums themselves are accepted.
+  auto config = Config::ParseString(
+      "[tracer]\nring_bytes_per_cpu = 1\npending_map_entries = 1\n"
+      "first_access_map_entries = 1\nbatch_size = 1\nconsumer_threads = 0\n"
+      "path_cap = 0\n");
+  ASSERT_TRUE(config.ok());
+  auto options = TracerOptions::FromConfig(*config);
+  ASSERT_TRUE(options.ok()) << options.status().message();
+  EXPECT_EQ(options->batch_size, 1u);
+  EXPECT_EQ(options->consumer_threads, 0u);
+  EXPECT_EQ(options->path_cap, 0u);
+}
+
 TEST_F(TracerTest, PidFilterDropsOtherProcesses) {
   TracerOptions options = FastOptions();
   options.pids = {env_.pid};

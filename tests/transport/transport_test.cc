@@ -573,6 +573,36 @@ TEST(PipelineOptionsTest, FromConfigRejectsBadValues) {
   EXPECT_FALSE(PipelineOptions::FromConfig(*bad_rate).ok());
 }
 
+// Counts go through GetCount: a value below 1 or a non-integer one is
+// rejected with an error naming the key. Checked at FromConfig only — never
+// build a pipeline from them.
+TEST(PipelineOptionsTest, FromConfigRejectsBadCounts) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"queue_depth = -1", "transport.queue_depth"},
+      {"queue_depth = 0", "transport.queue_depth"},
+      {"queue_depth = 8x", "transport.queue_depth"},
+      {"retry_max_attempts = -3", "transport.retry_max_attempts"},
+      {"retry_max_attempts = 0", "transport.retry_max_attempts"},
+      {"retry_max_attempts = 2.5", "transport.retry_max_attempts"},
+  };
+  for (const auto& [line, key] : cases) {
+    auto config =
+        Config::ParseString(std::string("[transport]\n") + line + "\n");
+    ASSERT_TRUE(config.ok()) << line;
+    auto options = PipelineOptions::FromConfig(*config);
+    ASSERT_FALSE(options.ok()) << line;
+    EXPECT_NE(options.status().message().find(key), std::string::npos)
+        << line << " -> " << options.status().message();
+  }
+  auto config = Config::ParseString(
+      "[transport]\nqueue_depth = 1\nretry_max_attempts = 1\n");
+  ASSERT_TRUE(config.ok());
+  auto options = PipelineOptions::FromConfig(*config);
+  ASSERT_TRUE(options.ok()) << options.status().message();
+  EXPECT_EQ(options->queue.max_queued_batches, 1u);
+  EXPECT_EQ(options->retry.max_attempts, 1u);
+}
+
 // Satellite: unknown [transport] keys are reported instead of silently
 // ignored. WarnUnknownKeys returns what it warned about.
 TEST(PipelineOptionsTest, UnknownKeysAreReported) {
